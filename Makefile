@@ -9,7 +9,7 @@ BENCH_JSON ?= BENCH_pr10.json
 # The newest committed per-PR snapshot is the regression baseline.
 BENCH_BASELINE ?= $(shell ls BENCH_pr*.json 2>/dev/null | sort -V | tail -1)
 
-.PHONY: verify check fmt vet lint test test-race race-closure race-serve race-delta race-obs race-repl serve-smoke metrics-smoke repl-smoke bench bench-json bench-gate fuzz build examples
+.PHONY: verify check fmt vet lint test test-race bench-e2e-test serve-smoke metrics-smoke repl-smoke bench bench-json bench-gate fuzz build examples
 
 # Tier-1: must stay green (ROADMAP.md).
 verify: build test
@@ -20,48 +20,18 @@ build:
 test:
 	$(GO) test ./...
 
-# Full race-detector pass (slow; CI runs the closure-focused subset).
+# Race-detector pass over every package: the streaming cursor, the
+# HTTP layer's concurrent query/load/snapshot/compact interleavings,
+# prepared-cache delta maintenance, metric scrapes racing updates and
+# the replication follower loop all run here. CI runs this target.
 test-race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
-# The race leg CI runs per GOMAXPROCS matrix entry: vet plus the
-# closure engine (the only layer with intra-request parallelism) under
-# the race detector.
-race-closure: vet
-	$(GO) test -race -count=1 ./internal/closure/...
-
-# The service tier's concurrency surface under the race detector: the
-# streaming cursor (producer goroutine per query) and the HTTP layer's
-# concurrent query/load/snapshot/compact interleavings.
-race-serve:
-	$(GO) test -race -count=1 ./semweb ./semweb/serve/...
-
-# Incremental closure maintenance under the race detector: the delta
-# engine's property tests, the prepared-cache maintenance paths
-# (concurrent Add/Eval/Stream against one DB), and the HTTP
-# load-vs-stream interleavings that ride the delta path.
-race-delta:
-	$(GO) test -race -count=1 ./internal/closure/... -run 'Delta|Maintainer'
-	$(GO) test -race -count=1 ./semweb -run TestDelta
-	$(GO) test -race -count=1 ./semweb/serve/... -run 'TestLoadQueryTakesDeltaPath|TestConcurrentLoadAndStream'
-
-# The observability surface under the race detector: registry scrapes
-# racing updates, and the engine-seam instrumentation under concurrent
-# load/stream/snapshot traffic.
-race-obs:
-	$(GO) test -race -count=1 ./internal/obs/...
-	$(GO) test -race -count=1 ./semweb -run TestMetrics
-	$(GO) test -race -count=1 ./semweb/serve/... -run 'TestMetrics|TestRequestLog'
-
-# The replication stack under the race detector: the follower's
-# bootstrap/tail/apply loop against a live leader (kills, generation
-# switches, local restarts), the crash/failover matrix in package
-# semweb, and the HTTP follower serving queries while batches stream
-# through the long-poll tail.
-race-repl:
-	$(GO) test -race -count=1 ./internal/repl/...
-	$(GO) test -race -count=1 ./semweb -run TestRepl
-	$(GO) test -race -count=1 ./semweb/serve/... -run 'TestServeFollower|TestReplEndpoints'
+# The benchmark harness is its own module (cmd/semwebbench/go.mod), so
+# `go build ./...` and `go test ./...` at the root never compile it;
+# this keeps the APIs it imports from drifting under it.
+bench-e2e-test:
+	cd cmd/semwebbench && $(GO) test ./...
 
 # End-to-end smoke of the semwebd binary: build it, serve a temp dbdir,
 # load the test data over HTTP, stream a query, hit the admin
@@ -82,8 +52,8 @@ metrics-smoke:
 repl-smoke:
 	$(GO) test -run TestReplSmoke -count=1 -v ./cmd/semwebd
 
-# verify + static hygiene.
-check: verify vet fmt lint
+# verify + static hygiene + the benchmark harness's own suite.
+check: verify vet fmt lint bench-e2e-test
 
 vet:
 	$(GO) vet ./...

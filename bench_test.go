@@ -27,7 +27,6 @@ import (
 	"semwebdb/internal/ntriples"
 	"semwebdb/internal/query"
 	"semwebdb/internal/rdfs"
-	"semwebdb/internal/store"
 	"semwebdb/internal/term"
 	"semwebdb/semweb"
 )
@@ -117,43 +116,6 @@ func BenchmarkClosureScChain(b *testing.B) {
 				closure.RDFSCl(g)
 			}
 		})
-	}
-}
-
-// BenchmarkClosureParallel measures the sharded saturation engine
-// (closure.RDFSClWorkers) against the sequential one (w1 routes to it)
-// on closure-dominated inputs: a deep sc-chain (transitivity-heavy)
-// and an ArtSchema (type/domain/range-heavy, the RDFSEntail shape).
-//
-// Reading the numbers: the worker pool parallelizes the rule-firing
-// joins, so on an n-core machine wall-clock scales ≈ n divided by the
-// engine's single-core CPU overhead (~1.3× at w2, ~1.6× at w8 — the
-// price of per-worker memoization and merge barriers; the heavier
-// artSchema shape sits at the top of that range, ~2× at w8). On a
-// single-core machine (such as the CI container and the box that
-// records BENCH_pr*.json, where GOMAXPROCS=1) there is no parallelism
-// to harvest and ns/op shows exactly that overhead instead of a
-// speedup; run this family on multi-core hardware to observe the
-// scaling. The result sets are bit-identical at every worker count
-// (property-tested in internal/closure).
-func BenchmarkClosureParallel(b *testing.B) {
-	inputs := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"scChain256", gen.ScChain(256)},
-		{"artSchema1k", gen.ArtSchema(250, 125, 1000, 42)},
-	}
-	for _, in := range inputs {
-		for _, w := range []int{1, 2, 8} {
-			b.Run(fmt.Sprintf("%s/w%d", in.name, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := closure.RDFSClWorkers(context.Background(), in.g, w); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -410,23 +372,6 @@ func BenchmarkAblationOrdering(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkStoreMatch(b *testing.B) {
-	g := gen.EncGround(gen.RandomGraph(200, 5000, 23), "d")
-	st := store.FromGraph(g)
-	obj := term.NewIRI("urn:semwebdb:d:7")
-	b.Run("object-bound", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			st.MatchTerms(term.Term{}, term.Term{}, obj, func(graph.Triple) bool { return true })
-		}
-	})
-	b.Run("add", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s2 := store.New()
-			g.Each(func(t graph.Triple) bool { s2.Add(t); return true })
-		}
-	})
 }
 
 // --- substrate: parser throughput ---

@@ -1,6 +1,7 @@
 package closure
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -364,5 +365,67 @@ func TestClosurePreservesBlanks(t *testing.T) {
 	cl := RDFSCl(g)
 	if !cl.Has(graph.T(blk("x"), rdfs.Type, iri("B"))) {
 		t.Fatal("lifting lost the blank subject")
+	}
+}
+
+// TestClosureOrderIndependent asserts the engine's queue order is an
+// implementation detail: LIFO (the default), FIFO and a seeded shuffle
+// all reach the same fixpoint.
+func TestClosureOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	for round := 0; round < 40; round++ {
+		g := randVocabAsDataGraph(rng, 3+rng.Intn(9))
+		want, err := rdfsClSequential(context.Background(), g, lifoOrder, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fifo, err := rdfsClSequential(context.Background(), g, fifoOrder, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fifo.Equal(want) {
+			t.Fatalf("round %d: FIFO drain produced a different closure", round)
+		}
+		for seed := int64(0); seed < 3; seed++ {
+			shuf, err := rdfsClSequential(context.Background(), g, shuffledOrder, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !shuf.Equal(want) {
+				t.Fatalf("round %d seed %d: shuffled drain produced a different closure", round, seed)
+			}
+		}
+	}
+}
+
+// TestClGroundSkipsSkolemization pins ClCtx's ground fast path: on a
+// graph without blank nodes it returns RDFS-cl(G) as saturated, with no
+// Skolemize/Unskolemize round trip. The probe is an IRI that happens to
+// carry the skolem prefix: the round trip would turn it into a blank
+// node (interning that blank), the direct path leaves it alone and
+// interns nothing beyond what saturation itself does.
+func TestClGroundSkipsSkolemization(t *testing.T) {
+	skolemLike := iri(graph.SkolemPrefix + "x")
+	g := graph.New(
+		graph.T(skolemLike, rdfs.Type, iri("A")),
+		graph.T(iri("A"), rdfs.SubClassOf, iri("B")),
+		graph.T(iri("p"), rdfs.Domain, iri("A")),
+		graph.T(iri("s"), iri("p"), skolemLike),
+	)
+	want := RDFSCl(g)
+	terms := g.Dict().Len()
+	got, err := ClCtx(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("ground ClCtx differs from RDFSCl\nonly-want: %v\nonly-got: %v",
+			want.Minus(got), got.Minus(want))
+	}
+	if n := g.Dict().Len(); n != terms {
+		t.Fatalf("ground ClCtx interned %d terms (skolem round trip taken)", n-terms)
+	}
+	if _, ok := g.Dict().Lookup(blk("x")); ok {
+		t.Fatal("ground ClCtx unskolemized a skolem-prefixed IRI into a blank node")
 	}
 }

@@ -51,8 +51,8 @@ type Maintainer struct {
 }
 
 // NewMaintainer builds a maintainer over base, which must be
-// RDFS-closed (a fixpoint of rules (2)–(13), e.g. any RDFSCl /
-// RDFSClWorkers result). Feeding a non-closed base yields the closure
+// RDFS-closed (a fixpoint of rules (2)–(13), e.g. any RDFSCl
+// result). Feeding a non-closed base yields the closure
 // of nothing in particular; it is the caller's contract, not checked.
 func NewMaintainer(base *graph.Graph) *Maintainer {
 	e := newEngine(base.Dict())
@@ -87,7 +87,7 @@ func (m *Maintainer) Apply(ctx context.Context, batch []dict.Triple3) ([]dict.Tr
 		m.err = fmt.Errorf("closure: delta maintenance aborted, maintainer unusable: %w", err)
 		return nil, err
 	}
-	satDeltaSeq.Inc()
+	satDelta.Inc()
 	satSecondsDelta.ObserveSince(t0)
 	out := make([]dict.Triple3, len(e.journal))
 	copy(out, e.journal)
@@ -115,19 +115,6 @@ func DeltaRDFSClCtx(ctx context.Context, base, batch *graph.Graph) (*graph.Graph
 	return base.ExtendedByIDs(added), nil
 }
 
-// DeltaRDFSClWorkers is DeltaRDFSClCtx with an explicit parallelism
-// degree: workers ≤ 1 (or a small base) runs the sequential delta
-// engine, larger values seed the sharded parallel engine from the base
-// and run fire→merge→index rounds over the batch only. Both paths
-// compute the same closure.
-func DeltaRDFSClWorkers(ctx context.Context, base, batch *graph.Graph, workers int) (*graph.Graph, error) {
-	nw := normWorkers(workers)
-	if nw == 1 || base.Len()+batch.Len() < minParallelTriples {
-		return DeltaRDFSClCtx(ctx, base, batch)
-	}
-	return parDeltaRDFSCl(ctx, base, batch, nw)
-}
-
 // DeltaCl returns cl(base ∪ batch) for base = cl(D) of some graph D.
 // When both base and batch are ground — the common shape of loaded
 // databases — this is pure delta work; with blank nodes in play the
@@ -142,51 +129,10 @@ func DeltaCl(base, batch *graph.Graph) *graph.Graph {
 
 // DeltaClCtx is DeltaCl under a context.
 func DeltaClCtx(ctx context.Context, base, batch *graph.Graph) (*graph.Graph, error) {
-	return DeltaClWorkers(ctx, base, batch, 1)
-}
-
-// DeltaClWorkers is DeltaClCtx with an explicit parallelism degree
-// (see RDFSClWorkers).
-func DeltaClWorkers(ctx context.Context, base, batch *graph.Graph, workers int) (*graph.Graph, error) {
 	if base.IsGround() && batch.IsGround() {
-		return DeltaRDFSClWorkers(ctx, base, batch, workers)
+		return DeltaRDFSClCtx(ctx, base, batch)
 	}
-	return ClWorkers(ctx, graph.Union(base, batch), workers)
-}
-
-// parDeltaRDFSCl runs the sharded engine seeded from a saturated base:
-// every base triple is admitted into the dedup and rule-index shards
-// without being queued, then the batch bootstraps round zero and the
-// usual fire→merge→index rounds run to the fixpoint — each round's
-// delta journaled. Tests call this directly to cover bases below the
-// parallel cutoff.
-func parDeltaRDFSCl(ctx context.Context, base, batch *graph.Graph, nw int) (*graph.Graph, error) {
-	t0 := time.Now()
-	pe := newParEngineShell(base.Dict(), nw)
-	// Each shard owner scans the base once and keeps what it owns:
-	// concurrent read-only iteration of the base set is safe, and no
-	// cross-shard writes occur.
-	parallelDo(nw, func(i int) {
-		base.EachID(func(t dict.Triple3) bool {
-			if pe.dedupShardOf(t) == i {
-				pe.seen[i][t] = struct{}{}
-			}
-			if pe.predShardOf(t[1]) == i {
-				pe.indexInto(&pe.shards[i], t)
-			}
-			return true
-		})
-	})
-	pe.journaling = true
-	for _, t := range batchIDs(base, batch) {
-		pe.bootstrap(t)
-	}
-	if err := pe.run(ctx); err != nil {
-		return nil, err
-	}
-	satDeltaPar.Inc()
-	satSecondsDelta.ObserveSince(t0)
-	return base.ExtendedByIDs(pe.journal), nil
+	return ClCtx(ctx, graph.Union(base, batch))
 }
 
 // batchIDs encodes the batch against base's dictionary. A batch

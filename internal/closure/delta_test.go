@@ -31,9 +31,8 @@ func splitRandom(rng *rand.Rand, g *graph.Graph, pBatch float64) (*graph.Graph, 
 // TestDeltaClosureEqualsFromScratch is the core acceptance property of
 // incremental maintenance: for random graphs split into a base and an
 // insert batch, saturating the base and folding the batch in by delta
-// rounds yields exactly RDFS-cl(base ∪ batch) — for the sequential
-// one-shot, the parallel one-shot at workers {1, 2, 8}, and regardless
-// of which triples land in the batch.
+// rounds yields exactly RDFS-cl(base ∪ batch), regardless of which
+// triples land in the batch.
 func TestDeltaClosureEqualsFromScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for round := 0; round < 60; round++ {
@@ -49,25 +48,8 @@ func TestDeltaClosureEqualsFromScratch(t *testing.T) {
 
 		got := DeltaRDFSCl(baseCl, batch)
 		if !got.Equal(want) {
-			t.Fatalf("round %d: sequential delta closure differs on\n%v\nbatch:\n%v\nonly-want: %v\nonly-got: %v",
+			t.Fatalf("round %d: delta closure differs on\n%v\nbatch:\n%v\nonly-want: %v\nonly-got: %v",
 				round, base, batch, want.Minus(got), got.Minus(want))
-		}
-		for _, nw := range workerCounts {
-			got, err := parDeltaRDFSCl(context.Background(), baseCl, batch, max(nw, 2))
-			if err != nil {
-				t.Fatalf("round %d w%d: %v", round, nw, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("round %d w%d: parallel delta closure differs\nonly-want: %v\nonly-got: %v",
-					round, nw, want.Minus(got), got.Minus(want))
-			}
-			got2, err := DeltaRDFSClWorkers(context.Background(), baseCl, batch, nw)
-			if err != nil {
-				t.Fatalf("round %d w%d: %v", round, nw, err)
-			}
-			if !got2.Equal(want) {
-				t.Fatalf("round %d w%d: DeltaRDFSClWorkers differs", round, nw)
-			}
 		}
 	}
 }
@@ -146,16 +128,10 @@ func TestDeltaClEqualsClOfUnion(t *testing.T) {
 		g := randClosureGraph(rng, 4+rng.Intn(8)) // mixes blanks in
 		base, batch := splitRandom(rng, g, 0.35)
 		want := Cl(g)
-		baseCl := Cl(base)
-		for _, nw := range workerCounts {
-			got, err := DeltaClWorkers(context.Background(), baseCl, batch, nw)
-			if err != nil {
-				t.Fatalf("round %d w%d: %v", round, nw, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("round %d w%d: DeltaCl differs from Cl of union\nonly-want: %v\nonly-got: %v",
-					round, nw, want.Minus(got), got.Minus(want))
-			}
+		got := DeltaCl(Cl(base), batch)
+		if !got.Equal(want) {
+			t.Fatalf("round %d: DeltaCl differs from Cl of union\nonly-want: %v\nonly-got: %v",
+				round, want.Minus(got), got.Minus(want))
 		}
 	}
 }
@@ -175,12 +151,9 @@ func TestMaintainerPoisonedAfterCancel(t *testing.T) {
 	if _, err := m.Apply(context.Background(), nil); err == nil {
 		t.Fatal("poisoned maintainer accepted a later Apply")
 	}
-	// The one-shot variants surface the same error.
+	// The one-shot variant surfaces the same error.
 	if out, err := DeltaRDFSClCtx(dead, baseCl, batch); err == nil || out != nil {
 		t.Fatalf("DeltaRDFSClCtx on dead context: out=%v err=%v", out != nil, err)
-	}
-	if out, err := parDeltaRDFSCl(dead, baseCl, batch, 4); err == nil || out != nil {
-		t.Fatalf("parDeltaRDFSCl on dead context: out=%v err=%v", out != nil, err)
 	}
 }
 

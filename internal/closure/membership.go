@@ -1,8 +1,6 @@
 package closure
 
 import (
-	"context"
-
 	"semwebdb/internal/graph"
 	"semwebdb/internal/rdfs"
 	"semwebdb/internal/term"
@@ -41,20 +39,10 @@ type Membership struct {
 
 // NewMembership preprocesses g for repeated membership queries.
 func NewMembership(g *graph.Graph) *Membership {
-	return NewMembershipWorkers(g, 1)
-}
-
-// NewMembershipWorkers is NewMembership with an explicit parallelism
-// degree for the fallback path: when g is outside the well-behaved
-// class and the closure must be materialized, the saturation runs on
-// that many workers (see RDFSClWorkers). The fast reachability path is
-// unaffected — it never materializes anything. Answers are identical
-// for every worker count.
-func NewMembershipWorkers(g *graph.Graph, workers int) *Membership {
 	m := &Membership{g: g}
 	if rdfs.MentionsVocabularyOutsidePredicate(g) {
 		m.fast = false
-		m.materialized, _ = RDFSClWorkers(context.Background(), g, workers)
+		m.materialized = RDFSCl(g)
 		return m
 	}
 	m.fast = true

@@ -3,18 +3,15 @@ package closure
 import "semwebdb/internal/obs"
 
 // Saturation metric families (process-global; see internal/obs). The
-// engines never touch an atomic per rule firing: both keep plain local
-// counters — fields on the sequential engine, per-worker tallies on the
-// sharded one — and flush them once per run, so instrumentation cost is
-// a handful of adds per saturation, not per instantiation.
+// engine never touches an atomic per rule firing: it keeps plain local
+// counters and flushes them once per run, so instrumentation cost is a
+// handful of adds per saturation, not per instantiation.
 var (
 	saturationsVec = obs.Default.CounterVec("semweb_closure_saturations_total",
-		"Saturation runs, by mode (full = from scratch, delta = incremental over a closed base) and engine (seq = semi-naive queue, par = sharded BSP).",
-		"mode", "engine")
-	satFullSeq  = saturationsVec.With("full", "seq")
-	satDeltaSeq = saturationsVec.With("delta", "seq")
-	satFullPar  = saturationsVec.With("full", "par")
-	satDeltaPar = saturationsVec.With("delta", "par")
+		"Saturation runs, by mode (full = from scratch, delta = incremental over a closed base).",
+		"mode")
+	satFull  = saturationsVec.With("full")
+	satDelta = saturationsVec.With("delta")
 
 	saturationSecondsVec = obs.Default.HistogramVec("semweb_closure_seconds",
 		"Wall-clock saturation latency, by mode.", nil, "mode")
@@ -22,9 +19,7 @@ var (
 	satSecondsDelta = saturationSecondsVec.With("delta")
 
 	ruleFirings = obs.Default.Counter("semweb_closure_rule_firings_total",
-		"Rule-instantiation conclusions emitted by the engines, duplicates included (the semi-naive work measure).")
+		"Rule-instantiation conclusions emitted by the engine, duplicates included (the semi-naive work measure).")
 	triplesDerived = obs.Default.Counter("semweb_closure_triples_derived_total",
 		"Triples admitted into a closure under construction (novel conclusions plus seeded input).")
-	bspRounds = obs.Default.Counter("semweb_closure_rounds_total",
-		"Fire/merge/index rounds executed by the parallel (BSP) engine.")
 )

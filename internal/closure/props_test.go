@@ -25,6 +25,26 @@ func randClosureGraph(rng *rand.Rand, n int) *graph.Graph {
 	return g
 }
 
+// randVocabAsDataGraph is randClosureGraph with reserved vocabulary
+// also appearing in subject/object position, which pushes Membership
+// onto its materialized-closure fallback and exercises the saturation
+// corner cases (sp edges into dom/range, reflexive reserved loops).
+func randVocabAsDataGraph(rng *rand.Rand, n int) *graph.Graph {
+	names := []term.Term{
+		iri("a"), iri("b"), iri("c"), blk("x"), blk("y"),
+		rdfs.Domain, rdfs.Range, rdfs.Type,
+	}
+	preds := []term.Term{
+		iri("p"), iri("q"), rdfs.SubClassOf, rdfs.SubPropertyOf,
+		rdfs.Type, rdfs.Domain, rdfs.Range,
+	}
+	g := graph.New()
+	for k := 0; k < n; k++ {
+		g.Add(graph.T(names[rng.Intn(len(names))], preds[rng.Intn(len(preds))], names[rng.Intn(len(names))]))
+	}
+	return g
+}
+
 func TestClosureMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for round := 0; round < 40; round++ {
@@ -114,84 +134,18 @@ func TestClosureWellFormed(t *testing.T) {
 	}
 }
 
-// TestParallelClosureEquivalence is the core acceptance property: the
-// sharded engine computes bit-identical triple sets to the sequential
-// engine (and to the naive baseline's fixpoint, transitively via
-// TestSemiNaiveEqualsNaiveRandom) for worker counts 1, 2 and 8, on
-// random graphs both inside and outside the well-behaved class.
-func TestParallelClosureEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for round := 0; round < 60; round++ {
-		var g *graph.Graph
-		if round%2 == 0 {
-			g = randClosureGraph(rng, 3+rng.Intn(10))
-		} else {
-			g = randVocabAsDataGraph(rng, 3+rng.Intn(10))
-		}
-		want := RDFSCl(g)
-		for _, nw := range workerCounts {
-			got, err := parRDFSCl(context.Background(), g, nw)
-			if err != nil {
-				t.Fatalf("round %d w%d: %v", round, nw, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("round %d w%d: parallel closure differs on\n%v\nonly-seq: %v\nonly-par: %v",
-					round, nw, g, want.Minus(got), got.Minus(want))
-			}
-		}
-	}
-}
-
-// TestParallelMembershipAnswers asserts Membership gives identical
-// answers for every worker count, on both the reachability fast path
-// and the materialized fallback.
-func TestParallelMembershipAnswers(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	probes := func(g *graph.Graph) []graph.Triple {
-		// Probe everything in the closure plus some misses.
-		out := RDFSCl(g).Triples()
-		out = append(out,
-			graph.T(iri("zz"), iri("p"), iri("zz")),
-			graph.T(iri("a"), rdfs.SubClassOf, iri("zz")),
-			graph.T(iri("a"), rdfs.Type, iri("zz")))
-		return out
-	}
-	for round := 0; round < 20; round++ {
-		fastG := randClosureGraph(rng, 6)
-		slowG := randVocabAsDataGraph(rng, 6)
-		for _, g := range []*graph.Graph{fastG, slowG} {
-			base := NewMembership(g)
-			ms := []*Membership{base}
-			for _, nw := range []int{2, 8} {
-				ms = append(ms, NewMembershipWorkers(g, nw))
-			}
-			for _, tr := range probes(g) {
-				want := base.Contains(tr)
-				for i, m := range ms[1:] {
-					if got := m.Contains(tr); got != want {
-						t.Fatalf("round %d: Membership(w=%d).Contains(%v) = %v, want %v (fast=%v)",
-							round, []int{2, 8}[i], tr, got, want, m.Fast())
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestParallelClosureCancellation: a dead context fails immediately for
-// every worker count; a context cancelled mid-saturation aborts the
-// parallel engine with its error (never a partial graph).
-func TestParallelClosureCancellation(t *testing.T) {
+// TestClosureCancellation: a dead context fails immediately; a context
+// cancelled mid-saturation aborts the engine with its error (never a
+// partial graph).
+func TestClosureCancellation(t *testing.T) {
 	g := scChain(220)
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, nw := range workerCounts {
-		if out, err := RDFSClWorkers(dead, g, nw); err == nil || out != nil {
-			t.Fatalf("w%d: want error on dead context, got graph=%v err=%v", nw, out != nil, err)
-		}
-		if out, err := parRDFSCl(dead, g, max(nw, 2)); err == nil || out != nil {
-			t.Fatalf("parRDFSCl w%d: want error on dead context, got graph=%v err=%v", nw, out != nil, err)
-		}
+	if out, err := RDFSClCtx(dead, g); err == nil || out != nil {
+		t.Fatalf("RDFSClCtx: want error on dead context, got graph=%v err=%v", out != nil, err)
+	}
+	if out, err := ClCtx(dead, g); err == nil || out != nil {
+		t.Fatalf("ClCtx: want error on dead context, got graph=%v err=%v", out != nil, err)
 	}
 
 	// Mid-run cancellation: either the engine finished first (and must
@@ -199,7 +153,7 @@ func TestParallelClosureCancellation(t *testing.T) {
 	want := RDFSCl(g)
 	for trial := 0; trial < 6; trial++ {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(trial)*200*time.Microsecond)
-		out, err := parRDFSCl(ctx, g, 8)
+		out, err := RDFSClCtx(ctx, g)
 		cancel()
 		switch {
 		case err != nil:

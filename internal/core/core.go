@@ -112,15 +112,7 @@ func NormalForm(g *graph.Graph) *graph.Graph {
 // saturation and the core retraction searches poll ctx and abort with
 // its error when it is cancelled.
 func NormalFormCtx(ctx context.Context, g *graph.Graph) (*graph.Graph, error) {
-	return NormalFormWorkers(ctx, g, 1)
-}
-
-// NormalFormWorkers is NormalFormCtx with an explicit parallelism
-// degree for the closure saturation (see closure.ClWorkers). The core
-// retraction is unchanged — its map searches are inherently sequential
-// backtracking — and so is the result.
-func NormalFormWorkers(ctx context.Context, g *graph.Graph, workers int) (*graph.Graph, error) {
-	cl, err := closure.ClWorkers(ctx, g, workers)
+	cl, err := closure.ClCtx(ctx, g)
 	if err != nil {
 		return nil, err
 	}
@@ -146,13 +138,7 @@ func Fingerprint(g *graph.Graph) string {
 
 // FingerprintCtx is Fingerprint under a context (see NormalFormCtx).
 func FingerprintCtx(ctx context.Context, g *graph.Graph) (string, error) {
-	return FingerprintWorkers(ctx, g, 1)
-}
-
-// FingerprintWorkers is FingerprintCtx with an explicit parallelism
-// degree for the closure saturation (see NormalFormWorkers).
-func FingerprintWorkers(ctx context.Context, g *graph.Graph, workers int) (string, error) {
-	nf, err := NormalFormWorkers(ctx, g, workers)
+	nf, err := NormalFormCtx(ctx, g)
 	if err != nil {
 		return "", err
 	}

@@ -108,42 +108,27 @@ func SortIndex(idx []Triple3) {
 	sort.Slice(idx, func(i, j int) bool { return idx[i].Less(idx[j]) })
 }
 
-// MergeSortedKeys merges sorted, pairwise-disjoint key runs into one
-// sorted slice. It is the reduce step used to assemble a permutation
-// from per-shard sorted runs without re-sorting the concatenation: the
-// parallel closure engine sorts each shard's keys independently and
-// merges the runs here in O(k·n) for k runs. A single non-empty run is
-// returned as-is (callers hand over ownership of the runs).
-func MergeSortedKeys(runs [][]Triple3) []Triple3 {
-	live := make([][]Triple3, 0, len(runs))
-	total := 0
-	for _, r := range runs {
-		if len(r) > 0 {
-			live = append(live, r)
-			total += len(r)
+// MergeSorted merges two sorted, pairwise-disjoint key runs into one
+// sorted slice in O(len(a)+len(b)), without re-sorting the
+// concatenation. When one run is empty the other is returned as-is
+// (callers hand over ownership of the runs).
+func MergeSorted(a, b []Triple3) []Triple3 {
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 {
+		return b
+	}
+	out := make([]Triple3, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if b[0].Less(a[0]) {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
 		}
 	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	out := make([]Triple3, 0, total)
-	for len(live) > 1 {
-		best := 0
-		for i := 1; i < len(live); i++ {
-			if live[i][0].Less(live[best][0]) {
-				best = i
-			}
-		}
-		out = append(out, live[best][0])
-		if live[best] = live[best][1:]; len(live[best]) == 0 {
-			live[best] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-	}
-	return append(out, live[0]...)
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // SearchRange returns the half-open interval [lo, hi) of entries of the
@@ -314,45 +299,6 @@ func (d *Dict) Intern(t term.Term) ID {
 	d.v.Store(nv)
 	d.noteInterned(1)
 	return id
-}
-
-// InternMany interns every term of ts and returns their IDs in order.
-// It takes the writer lock once for the whole batch, so concurrent
-// engines interning fixed vocabularies (the closure engine interns
-// rdfsV at setup) do not interleave their allocations with other
-// writers mid-batch.
-func (d *Dict) InternMany(ts []term.Term) []ID {
-	out := make([]ID, len(ts))
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := d.v.Load()
-	terms, kinds := old.terms, old.kinds
-	fresh := uint64(0)
-	dirty := false
-	for i, t := range ts {
-		if d.base != nil {
-			if id, ok := d.base.lookupBounded(t, d.off); ok {
-				out[i] = id
-				continue
-			}
-		}
-		if id, ok := d.ids[t]; ok {
-			out[i] = id
-			continue
-		}
-		terms = append(terms, t)
-		kinds = append(kinds, t.Kind())
-		id := ID(d.off + len(terms))
-		d.ids[t] = id
-		out[i] = id
-		fresh++
-		dirty = true
-	}
-	if dirty {
-		d.v.Store(&view{terms: terms, kinds: kinds})
-		d.noteInterned(fresh)
-	}
-	return out
 }
 
 // Lookup returns the ID of t if it has been interned (in this

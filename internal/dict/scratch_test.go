@@ -200,25 +200,3 @@ func TestScratchConcurrent(t *testing.T) {
 		t.Fatalf("scratch Len = %d, want 70", n)
 	}
 }
-
-// TestScratchInternMany covers the batch-intern path over an overlay.
-func TestScratchInternMany(t *testing.T) {
-	base := New()
-	a := base.Intern(term.NewIRI("urn:a"))
-	s := base.Scratch()
-	ids := s.InternMany([]term.Term{
-		term.NewIRI("urn:a"),   // base hit
-		term.NewIRI("urn:new"), // overlay
-		term.NewIRI("urn:a"),   // base hit again
-		term.NewIRI("urn:new"), // overlay dedup
-	})
-	want := []ID{a, 2, a, 2}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("InternMany[%d] = %d, want %d", i, ids[i], want[i])
-		}
-	}
-	if base.Len() != 1 {
-		t.Fatalf("base grew to %d", base.Len())
-	}
-}

@@ -23,11 +23,10 @@ import (
 // its closure once. Use it when testing many candidate consequences of
 // the same graph (the data-complexity regime of Section 2.4).
 type Checker struct {
-	g       *graph.Graph
-	cl      *graph.Graph
-	finder  *hom.Finder
-	simple  bool
-	workers int // closure saturation parallelism (≤1 sequential)
+	g      *graph.Graph
+	cl     *graph.Graph
+	finder *hom.Finder
+	simple bool
 
 	// full closure and finder, lazily built when a simple left-hand side
 	// meets a non-simple right-hand side.
@@ -43,21 +42,14 @@ func NewChecker(g *graph.Graph) *Checker {
 // NewCheckerCtx is NewChecker under a context: the closure computation
 // polls ctx and aborts with its error when cancelled.
 func NewCheckerCtx(ctx context.Context, g *graph.Graph) (*Checker, error) {
-	return NewCheckerWorkers(ctx, g, 1)
-}
-
-// NewCheckerWorkers is NewCheckerCtx with an explicit parallelism
-// degree for the closure saturation (see closure.RDFSClWorkers); the
-// entailment decision itself is unchanged, as is its result.
-func NewCheckerWorkers(ctx context.Context, g *graph.Graph, workers int) (*Checker, error) {
-	c := &Checker{g: g, simple: rdfs.IsSimple(g), workers: workers}
+	c := &Checker{g: g, simple: rdfs.IsSimple(g)}
 	if c.simple {
 		// For simple G1, a simple G2 maps into cl(G1) iff it maps into
 		// G1 itself: the closure only adds reserved-vocabulary triples,
 		// which patterns without reserved predicates cannot match.
 		c.cl = g
 	} else {
-		cl, err := closure.RDFSClWorkers(ctx, g, workers)
+		cl, err := closure.RDFSClCtx(ctx, g)
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +87,7 @@ func (c *Checker) Witness(h *graph.Graph) (graph.Map, bool) {
 func (c *Checker) WitnessCtx(ctx context.Context, h *graph.Graph) (graph.Map, bool, error) {
 	if c.simple && !rdfs.IsSimple(h) {
 		if c.fullFinder == nil {
-			full, err := closure.RDFSClWorkers(ctx, c.g, c.workers)
+			full, err := closure.RDFSClCtx(ctx, c.g)
 			if err != nil {
 				return nil, false, err
 			}
@@ -114,13 +106,7 @@ func Entails(g1, g2 *graph.Graph) bool {
 // EntailsCtx is Entails under a context: both the closure of g1 and the
 // map search poll ctx and abort with its error when it is cancelled.
 func EntailsCtx(ctx context.Context, g1, g2 *graph.Graph) (bool, error) {
-	return EntailsWorkers(ctx, g1, g2, 1)
-}
-
-// EntailsWorkers is EntailsCtx with an explicit parallelism degree for
-// the closure saturation of g1 (see closure.RDFSClWorkers).
-func EntailsWorkers(ctx context.Context, g1, g2 *graph.Graph, workers int) (bool, error) {
-	c, err := NewCheckerWorkers(ctx, g1, workers)
+	c, err := NewCheckerCtx(ctx, g1)
 	if err != nil {
 		return false, err
 	}
@@ -142,17 +128,11 @@ func Equivalent(g1, g2 *graph.Graph) bool {
 
 // EquivalentCtx is Equivalent under a context (see EntailsCtx).
 func EquivalentCtx(ctx context.Context, g1, g2 *graph.Graph) (bool, error) {
-	return EquivalentWorkers(ctx, g1, g2, 1)
-}
-
-// EquivalentWorkers is EquivalentCtx with an explicit parallelism
-// degree for the two closure saturations (see closure.RDFSClWorkers).
-func EquivalentWorkers(ctx context.Context, g1, g2 *graph.Graph, workers int) (bool, error) {
-	ok, err := EntailsWorkers(ctx, g1, g2, workers)
+	ok, err := EntailsCtx(ctx, g1, g2)
 	if err != nil || !ok {
 		return false, err
 	}
-	return EntailsWorkers(ctx, g2, g1, workers)
+	return EntailsCtx(ctx, g2, g1)
 }
 
 // EntailsAuto decides G1 ⊨ G2 routing through the guaranteed-polynomial

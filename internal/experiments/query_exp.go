@@ -13,7 +13,6 @@ import (
 	"semwebdb/internal/match"
 	"semwebdb/internal/query"
 	"semwebdb/internal/rdfs"
-	"semwebdb/internal/store"
 	"semwebdb/internal/term"
 )
 
@@ -333,31 +332,6 @@ func init() {
 				tbl.row(mode.name, count, dur)
 			}
 			tbl.flush()
-
-			// Store-level comparison: object-bound point lookups, after a
-			// warm-up call so the one-time lazy index sort is excluded.
-			tbl2 := newTable(w, "store orders", "µs per object-bound lookup")
-			for _, cfg2 := range []struct {
-				name   string
-				orders []store.Order
-			}{
-				{"SPO+POS+OSP", []store.Order{store.SPO, store.POS, store.OSP}},
-				{"SPO only (full scan)", []store.Order{store.SPO}},
-			} {
-				st := store.NewWithOrders(cfg2.orders...)
-				g.Each(func(t graph.Triple) bool { st.Add(t); return true })
-				st.MatchTerms(term.Term{}, term.Term{}, term.NewIRI("urn:semwebdb:d:0"),
-					func(graph.Triple) bool { return true })
-				const lookups = 200
-				dur := timeIt(func() {
-					for i := 0; i < lookups; i++ {
-						st.MatchTerms(term.Term{}, term.Term{}, term.NewIRI(fmt.Sprintf("urn:semwebdb:d:%d", i%50)),
-							func(graph.Triple) bool { return true })
-					}
-				})
-				tbl2.row(cfg2.name, fmt.Sprintf("%.1f", float64(dur.Microseconds())/lookups))
-			}
-			tbl2.flush()
 			return nil
 		},
 	})

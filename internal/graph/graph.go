@@ -406,11 +406,6 @@ func (g *Graph) InstallIndex(o dict.Order, keys []dict.Triple3) {
 // is the identity, spo doubles as the triple set itself. The caller
 // hands over ownership of all three slices; violating the contract
 // corrupts MatchID/CountID results, exactly as with InstallIndex.
-//
-// The parallel closure engine uses this to publish its result without
-// a global re-sort: per-shard runs are sorted and merged while the
-// shards are still partitioned, and the set map is the only structure
-// built here.
 func NewFromIndexes(d *dict.Dict, spo, pos, osp []dict.Triple3) *Graph {
 	g := &Graph{d: d, set: make(map[dict.Triple3]struct{}, len(spo))}
 	for _, enc := range spo {
@@ -527,7 +522,7 @@ func (g *Graph) ExtendedByIDs(added []dict.Triple3) *Graph {
 			run[i] = dict.Permute(t, ord)
 		}
 		dict.SortIndex(run)
-		h.InstallIndex(ord, dict.MergeSortedKeys([][]dict.Triple3{base, run}))
+		h.InstallIndex(ord, dict.MergeSorted(base, run))
 	}
 	return h
 }

@@ -198,11 +198,6 @@ type Options struct {
 	SkipNormalForm bool
 	// MaxMatchings caps the number of matchings considered (0 = all).
 	MaxMatchings int
-	// Parallelism is the worker count for the closure saturation that
-	// prepares the matching universe (cl(D+P) directly, or inside
-	// nf(D+P)). Values ≤ 1 run the sequential engine; the answer is
-	// identical for every value (see closure.RDFSClWorkers).
-	Parallelism int
 }
 
 // Answer is the result of evaluating a query.
@@ -253,12 +248,7 @@ func EvaluateCtx(ctx context.Context, q *Query, d *graph.Graph, opts Options) (*
 		p := q.Premise.WithDict(q.Premise.Dict().Scratch())
 		data = graph.Merge(data, p)
 	}
-	var err error
-	if opts.SkipNormalForm {
-		data, err = closure.ClWorkers(ctx, data, opts.Parallelism)
-	} else {
-		data, err = core.NormalFormWorkers(ctx, data, opts.Parallelism)
-	}
+	data, err := Prepare(ctx, data, opts.SkipNormalForm)
 	if err != nil {
 		return nil, err
 	}
@@ -270,17 +260,17 @@ func EvaluateCtx(ctx context.Context, q *Query, d *graph.Graph, opts Options) (*
 // evaluating many queries against an unchanging database compute this
 // once and pass it to EvaluatePreparedCtx.
 func Prepare(ctx context.Context, d *graph.Graph, skipNormalForm bool) (*graph.Graph, error) {
-	return PrepareWorkers(ctx, d, skipNormalForm, 1)
+	if skipNormalForm {
+		return closure.ClCtx(ctx, d)
+	}
+	return core.NormalFormCtx(ctx, d)
 }
 
-// PrepareWorkers is Prepare with an explicit parallelism degree for
-// the closure saturation (see closure.RDFSClWorkers); the prepared
-// universe is identical for every worker count.
-func PrepareWorkers(ctx context.Context, d *graph.Graph, skipNormalForm bool, workers int) (*graph.Graph, error) {
-	if skipNormalForm {
-		return closure.ClWorkers(ctx, d, workers)
-	}
-	return core.NormalFormWorkers(ctx, d, workers)
+// PrepareWorkers is Prepare; the worker count is ignored.
+//
+// Deprecated: use Prepare. Closure saturation has a single engine.
+func PrepareWorkers(ctx context.Context, d *graph.Graph, skipNormalForm bool, _ int) (*graph.Graph, error) {
+	return Prepare(ctx, d, skipNormalForm)
 }
 
 // EvaluatePreparedCtx evaluates a premise-free query against a data

@@ -101,7 +101,7 @@ func StreamCtx(ctx context.Context, q *Query, d *graph.Graph, opts Options, yiel
 		p := q.Premise.WithDict(q.Premise.Dict().Scratch())
 		data = graph.Merge(data, p)
 	}
-	data, err := PrepareWorkers(ctx, data, opts.SkipNormalForm, opts.Parallelism)
+	data, err := Prepare(ctx, data, opts.SkipNormalForm)
 	if err != nil {
 		return StreamStats{}, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,6 +136,7 @@ type prepCounters struct {
 	fbCompact        atomic.Uint64
 	fbError          atomic.Uint64
 	fbDisabled       atomic.Uint64
+	fbStale          atomic.Uint64
 }
 
 // config collects the Open options.
@@ -146,7 +146,6 @@ type config struct {
 	initial        *Graph
 	walThreshold   int64
 	noFsync        bool
-	parallelism    int  // closure saturation workers; 0 means 1
 	noDeltaPrepare bool // disable incremental prepared-cache maintenance
 }
 
@@ -188,35 +187,6 @@ func WithGraph(g *Graph) Option {
 func WithWALThreshold(bytes int64) Option {
 	return func(c *config) { c.walThreshold = bytes }
 }
-
-// WithParallelism sets the worker count for RDFS closure saturation —
-// the engine behind Eval's matching-universe preparation, Entails,
-// Closure, NormalForm, Fingerprint and Infers. The answer never
-// depends on n; only wall-clock time does. n ≤ 0 selects one worker
-// per available core — resolved via runtime.GOMAXPROCS(0) at each use,
-// not when the option is built, so the per-core default tracks later
-// GOMAXPROCS changes in the process that actually evaluates. n == 1
-// (the default) stays on the sequential engine.
-//
-// Guidance on choosing n: saturation parallelizes the rule-firing
-// joins, so it pays off on schema-heavy databases whose closures are
-// large (many subclass/subproperty edges, deep hierarchies) — there,
-// n = number of cores is the right setting, and WithParallelism(0)
-// says exactly that. Small databases, or workloads dominated by the
-// coNP-hard core retraction rather than the closure, see no benefit;
-// the engine routes saturations of small graphs to the sequential
-// path regardless of n, so over-setting it is safe but pointless.
-// More workers than cores only adds scheduling overhead.
-func WithParallelism(n int) Option {
-	if n <= 0 {
-		n = parallelismPerCore
-	}
-	return func(c *config) { c.parallelism = n }
-}
-
-// parallelismPerCore is the config sentinel for WithParallelism(0):
-// "one worker per core", resolved against the runtime at use time.
-const parallelismPerCore = -1
 
 // WithoutIncrementalPrepare disables delta maintenance of the cached
 // matching universe: every mutation invalidates the prepared state, so
@@ -601,9 +571,11 @@ func extendPrepared(ctx context.Context, st *preparedState, from *dict.Dict, bat
 // fullPrepare computes the matching universe for g from scratch and
 // caches it when g can still be served from the cache — as the missing
 // flag of a cache already covering g, or as a fresh cache when g is
-// the current snapshot. Caller holds prepMu.
+// the current snapshot. A query overtaken by a commit (g is neither)
+// pays the whole saturation for an uncacheable result; that is counted
+// as a stale fallback. Caller holds prepMu.
 func (db *DB) fullPrepare(ctx context.Context, g *graph.Graph, skipNF bool) (*preparedState, error) {
-	data, err := query.PrepareWorkers(ctx, scratchView(g), skipNF, db.parallelism())
+	data, err := query.Prepare(ctx, scratchView(g), skipNF)
 	if err != nil {
 		return nil, err
 	}
@@ -619,25 +591,11 @@ func (db *DB) fullPrepare(ctx context.Context, g *graph.Graph, skipNF bool) (*pr
 		db.preparedFor = g
 		db.preparedGround = ground
 		db.pending = nil
+	default:
+		db.prepStats.fbStale.Add(1)
 	}
 	db.mu.Unlock()
 	return st, nil
-}
-
-// parallelism resolves the configured closure saturation worker count
-// (≥ 1; the zero config value means sequential). The per-core sentinel
-// of WithParallelism(0) resolves here — at evaluation time — so the
-// default follows the runtime's current GOMAXPROCS, not the value it
-// happened to have when the option was constructed.
-func (db *DB) parallelism() int {
-	n := db.cfg.parallelism
-	if n == parallelismPerCore {
-		return runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		return 1
-	}
-	return n
 }
 
 // scratchView returns the given snapshot behind a fresh scratch-overlay
@@ -974,6 +932,11 @@ type Stats struct {
 	PreparedFallbackCompact        uint64 `json:"prepared_fallback_compact"`
 	PreparedFallbackError          uint64 `json:"prepared_fallback_error"`
 	PreparedFallbackDisabled       uint64 `json:"prepared_fallback_disabled"`
+	// PreparedFallbackStale counts queries overtaken by a commit: their
+	// snapshot was no longer current when they reached preparation, so
+	// they re-saturated it from scratch without caching the result
+	// (each is also counted in PreparedFull).
+	PreparedFallbackStale uint64 `json:"prepared_fallback_stale"`
 }
 
 // Stats returns size statistics for the current contents. Each sorted
@@ -998,6 +961,7 @@ func (db *DB) Stats() Stats {
 		PreparedFallbackCompact:        db.prepStats.fbCompact.Load(),
 		PreparedFallbackError:          db.prepStats.fbError.Load(),
 		PreparedFallbackDisabled:       db.prepStats.fbDisabled.Load(),
+		PreparedFallbackStale:          db.prepStats.fbStale.Load(),
 	}
 	switch {
 	case db.replica != nil:
@@ -1046,7 +1010,7 @@ func (db *DB) Infers(t Triple) bool {
 		// Built over a scratch overlay: the fallback path materializes
 		// the closure, whose derived terms must not grow the shared
 		// dictionary. The overlay lives as long as the cached index.
-		mem = closure.NewMembershipWorkers(scratchView(g), db.parallelism())
+		mem = closure.NewMembership(scratchView(g))
 		db.mu.Lock()
 		if db.g == g { // only cache if no mutation slipped in
 			db.mem = mem
@@ -1080,7 +1044,6 @@ func (db *DB) Eval(ctx context.Context, q *Query) (*Answer, error) {
 		Semantics:      db.cfg.semantics,
 		SkipNormalForm: db.cfg.skipNormalForm,
 		MaxMatchings:   q.maxMatchings,
-		Parallelism:    db.parallelism(),
 	}
 	if q.semanticsSet {
 		opts.Semantics = q.semantics
@@ -1124,10 +1087,10 @@ func (db *DB) Eval(ctx context.Context, q *Query) (*Answer, error) {
 }
 
 // Entails reports D ⊨ h. The closure saturation behind the decision
-// honors WithParallelism and runs over a scratch overlay, leaving the
-// database dictionary unchanged.
+// runs over a scratch overlay, leaving the database dictionary
+// unchanged.
 func (db *DB) Entails(ctx context.Context, h *Graph) (bool, error) {
-	ok, err := entail.EntailsWorkers(ctx, scratchView(db.snapshot()), h, db.parallelism())
+	ok, err := entail.EntailsCtx(ctx, scratchView(db.snapshot()), h)
 	return ok, wrapEngineError(err)
 }
 
@@ -1136,17 +1099,17 @@ func (db *DB) Prove(h *Graph) (*Proof, bool) {
 	return Prove(scratchView(db.snapshot()), h)
 }
 
-// Equivalent reports D ≡ h (both saturations honor WithParallelism).
+// Equivalent reports D ≡ h.
 func (db *DB) Equivalent(ctx context.Context, h *Graph) (bool, error) {
-	ok, err := entail.EquivalentWorkers(ctx, scratchView(db.snapshot()), h, db.parallelism())
+	ok, err := entail.EquivalentCtx(ctx, scratchView(db.snapshot()), h)
 	return ok, wrapEngineError(err)
 }
 
-// Closure returns cl(D). The saturation honors WithParallelism. The
-// result's dictionary is a scratch overlay over the database's, so
-// materializing the closure does not grow the shared dictionary.
+// Closure returns cl(D). The result's dictionary is a scratch overlay
+// over the database's, so materializing the closure does not grow the
+// shared dictionary.
 func (db *DB) Closure(ctx context.Context) (*Graph, error) {
-	cl, err := closure.ClWorkers(ctx, scratchView(db.snapshot()), db.parallelism())
+	cl, err := closure.ClCtx(ctx, scratchView(db.snapshot()))
 	return cl, wrapEngineError(err)
 }
 
@@ -1155,11 +1118,10 @@ func (db *DB) Core(ctx context.Context) (*Graph, error) {
 	return CoreOf(ctx, db.snapshot())
 }
 
-// NormalForm returns nf(D) = core(cl(D)). The closure saturation
-// honors WithParallelism; the core retraction is sequential. Like
-// Closure, the result lives on a scratch overlay.
+// NormalForm returns nf(D) = core(cl(D)). Like Closure, the result
+// lives on a scratch overlay.
 func (db *DB) NormalForm(ctx context.Context) (*Graph, error) {
-	nf, err := core.NormalFormWorkers(ctx, scratchView(db.snapshot()), db.parallelism())
+	nf, err := core.NormalFormCtx(ctx, scratchView(db.snapshot()))
 	return nf, wrapEngineError(err)
 }
 
@@ -1175,10 +1137,9 @@ func (db *DB) MinimalRepresentation() (*Graph, error) {
 // interned into the shared dictionary.
 func (db *DB) Canonical() *Graph { return Canonicalize(scratchView(db.snapshot())) }
 
-// Fingerprint returns the equivalence certificate of D. The closure
-// saturation inside nf(D) honors WithParallelism.
+// Fingerprint returns the equivalence certificate of D.
 func (db *DB) Fingerprint(ctx context.Context) (string, error) {
-	fp, err := core.FingerprintWorkers(ctx, scratchView(db.snapshot()), db.parallelism())
+	fp, err := core.FingerprintCtx(ctx, scratchView(db.snapshot()))
 	return fp, wrapEngineError(err)
 }
 

@@ -83,71 +83,70 @@ func evalBothFlags(t *testing.T, db *DB) (nf, cl *Answer) {
 // every point of a random insert/query interleaving, both cached
 // prepared universes — maintained only by semi-naive delta passes
 // after the first preparation — are triple-set equal AND
-// Fingerprint-equal to a from-scratch query.PrepareWorkers over the
-// same snapshot, at worker counts 1, 2 and 8.
+// Fingerprint-equal to a from-scratch query.Prepare over the same
+// snapshot.
 func TestDeltaPreparedMatchesFromScratch(t *testing.T) {
-	for _, nw := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", nw), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7*int64(nw) + 1))
-			v := deltaVocab{rng}
-			db, err := Open(WithParallelism(nw))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			if err := db.Add(v.triples(250)...); err != nil {
-				t.Fatal(err)
+	// Preparation runs on one worker; the subtest name says so.
+	t.Run("workers=1", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(8))
+		v := deltaVocab{rng}
+		db, err := Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if err := db.Add(v.triples(250)...); err != nil {
+			t.Fatal(err)
+		}
+		evalBothFlags(t, db)
+
+		ctx := context.Background()
+		for round := 0; round < 6; round++ {
+			// A few separate Adds accumulate in the pending queue and are
+			// folded by one maintenance pass at next Eval.
+			for b := 0; b < 1+rng.Intn(3); b++ {
+				if err := db.Add(v.triples(1 + rng.Intn(15))...); err != nil {
+					t.Fatal(err)
+				}
 			}
 			evalBothFlags(t, db)
 
-			ctx := context.Background()
-			for round := 0; round < 6; round++ {
-				// A few separate Adds accumulate in the pending queue
-				// and are folded by one maintenance pass at next Eval.
-				for b := 0; b < 1+rng.Intn(3); b++ {
-					if err := db.Add(v.triples(1 + rng.Intn(15))...); err != nil {
-						t.Fatal(err)
-					}
+			snap := db.snapshot()
+			for _, skipNF := range []bool{false, true} {
+				st := db.preparedHit(snap, skipNF)
+				if st == nil {
+					t.Fatalf("round %d skipNF=%v: no cached prepared state after eval", round, skipNF)
 				}
-				evalBothFlags(t, db)
-
-				snap := db.snapshot()
-				for _, skipNF := range []bool{false, true} {
-					st := db.preparedHit(snap, skipNF)
-					if st == nil {
-						t.Fatalf("round %d skipNF=%v: no cached prepared state after eval", round, skipNF)
-					}
-					want, err := query.PrepareWorkers(ctx, scratchView(snap), skipNF, nw)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !st.data.Equal(want) {
-						t.Fatalf("round %d skipNF=%v: delta-maintained universe (%d) != from-scratch (%d)",
-							round, skipNF, st.data.Len(), want.Len())
-					}
-					fpGot, err := core.FingerprintWorkers(ctx, st.data, nw)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fpWant, err := core.FingerprintWorkers(ctx, want, nw)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if fpGot != fpWant {
-						t.Fatalf("round %d skipNF=%v: fingerprint %s != from-scratch %s",
-							round, skipNF, fpGot, fpWant)
-					}
+				want, err := query.Prepare(ctx, scratchView(snap), skipNF)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !st.data.Equal(want) {
+					t.Fatalf("round %d skipNF=%v: delta-maintained universe (%d) != from-scratch (%d)",
+						round, skipNF, st.data.Len(), want.Len())
+				}
+				fpGot, err := core.FingerprintCtx(ctx, st.data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fpWant, err := core.FingerprintCtx(ctx, want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fpGot != fpWant {
+					t.Fatalf("round %d skipNF=%v: fingerprint %s != from-scratch %s",
+						round, skipNF, fpGot, fpWant)
 				}
 			}
-			st := db.Stats()
-			if st.PreparedFull != 2 {
-				t.Fatalf("PreparedFull = %d, want exactly 2 (one per flag); deltas did not stick", st.PreparedFull)
-			}
-			if st.PreparedDelta < 6 {
-				t.Fatalf("PreparedDelta = %d, want ≥ 6", st.PreparedDelta)
-			}
-		})
-	}
+		}
+		st := db.Stats()
+		if st.PreparedFull != 2 {
+			t.Fatalf("PreparedFull = %d, want exactly 2 (one per flag); deltas did not stick", st.PreparedFull)
+		}
+		if st.PreparedDelta < 6 {
+			t.Fatalf("PreparedDelta = %d, want ≥ 6", st.PreparedDelta)
+		}
+	})
 }
 
 // TestDeltaAnswersMatchFullReprepare feeds the same interleaved
@@ -383,12 +382,11 @@ func TestDeltaFallbacks(t *testing.T) {
 }
 
 // TestDeltaConcurrentAddEvalStream hammers one database with
-// concurrent ground inserts, premise-free Evals and Streams — the
-// combination `make race-delta` runs under the race detector. Every
-// operation must succeed, and the final state must equal a fresh
-// preparation.
+// concurrent ground inserts, premise-free Evals and Streams — meant to
+// run under the race detector (`make test-race`). Every operation must
+// succeed, and the final state must equal a fresh preparation.
 func TestDeltaConcurrentAddEvalStream(t *testing.T) {
-	db, err := Open(WithParallelism(2))
+	db, err := Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +462,7 @@ func TestDeltaConcurrentAddEvalStream(t *testing.T) {
 		if st == nil {
 			t.Fatalf("skipNF=%v: no cached state after the dust settled", skipNF)
 		}
-		want, err := query.PrepareWorkers(ctx, scratchView(snap), skipNF, 2)
+		want, err := query.Prepare(ctx, scratchView(snap), skipNF)
 		if err != nil {
 			t.Fatal(err)
 		}

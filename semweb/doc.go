@@ -37,11 +37,10 @@
 //
 // RDFS closure saturation — the engine behind Eval's matching-universe
 // preparation, Closure, Entails, NormalForm, Fingerprint and Infers —
-// can run on a pool of worker goroutines: Open(WithParallelism(n))
-// selects n workers (0 = one per core). The closure is the unique
-// fixpoint of the RDFS rules, so the answers are identical for every
-// worker count; only wall-clock time changes. See ARCHITECTURE.md for
-// the sharded engine design and the repository-wide concurrency model.
+// is one semi-naive fixpoint computation per request, shared with the
+// incremental maintenance that folds inserts into cached universes.
+// See ARCHITECTURE.md for the engine and the repository-wide
+// concurrency model.
 //
 // Errors are typed: ErrMalformedQuery wraps every query well-formedness
 // violation, ErrCancelled wraps every context cancellation, and syntax

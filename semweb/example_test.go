@@ -197,25 +197,6 @@ func ExampleDB_LoadFiles() {
 	// loaded 2 triples
 }
 
-// ExampleWithParallelism opens a database whose closure saturations
-// (Eval preparation, Closure, Entails, Infers, …) run on one worker
-// per core. The answers are identical to the sequential engine's —
-// only the wall-clock time changes.
-func ExampleWithParallelism() {
-	db, _ := semweb.Open(semweb.WithParallelism(0)) // 0 = one worker per core
-	for i := 0; i < 300; i++ {
-		_ = db.Add(semweb.T(
-			semweb.IRI(fmt.Sprintf("urn:ex:c%d", i)), semweb.SubClassOf,
-			semweb.IRI(fmt.Sprintf("urn:ex:c%d", i+1))))
-	}
-	_ = db.Add(semweb.T(semweb.IRI("urn:ex:x"), semweb.Type, semweb.IRI("urn:ex:c0")))
-
-	// x's type is lifted through the whole 300-class chain.
-	fmt.Println(db.Infers(semweb.T(semweb.IRI("urn:ex:x"), semweb.Type, semweb.IRI("urn:ex:c300"))))
-	// Output:
-	// true
-}
-
 // ExampleDB_Eval_cancellation shows the typed error surfaced when a
 // context is cancelled mid-evaluation.
 func ExampleDB_Eval_cancellation() {

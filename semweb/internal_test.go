@@ -1,10 +1,10 @@
-// White-box tests for builder/option internals that public API alone
-// cannot pin down: the compile-time pattern snapshot and the use-time
-// resolution of the per-core parallelism default.
+// White-box tests for internals that public API alone cannot pin down:
+// the compile-time pattern snapshot and the stale-prepare fallback
+// counter.
 package semweb
 
 import (
-	"runtime"
+	"context"
 	"testing"
 )
 
@@ -79,39 +79,30 @@ func TestHeadSnapshotToo(t *testing.T) {
 	}
 }
 
-// TestParallelismResolvedAtUseTime: WithParallelism(0) means "one
-// worker per core" measured when evaluation runs, not when the option
-// was constructed.
-func TestParallelismResolvedAtUseTime(t *testing.T) {
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-
-	runtime.GOMAXPROCS(2)
-	db, err := Open(WithParallelism(0))
+// TestStalePrepareCountsFallback: a query whose snapshot was overtaken
+// by a commit before it reached preparation re-saturates from scratch
+// without caching, and Stats counts that as a stale fallback.
+func TestStalePrepareCountsFallback(t *testing.T) {
+	db, err := Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.parallelism(); got != 2 {
-		t.Fatalf("parallelism() = %d under GOMAXPROCS(2)", got)
-	}
-	runtime.GOMAXPROCS(5)
-	if got := db.parallelism(); got != 5 {
-		t.Fatalf("parallelism() = %d under GOMAXPROCS(5); option captured construction-time value", got)
-	}
-
-	// Explicit counts and the default are unaffected.
-	db3, err := Open(WithParallelism(3))
-	if err != nil {
+	defer db.Close()
+	if err := db.Add(T(IRI("urn:a"), SubClassOf, IRI("urn:b"))); err != nil {
 		t.Fatal(err)
 	}
-	if got := db3.parallelism(); got != 3 {
-		t.Fatalf("explicit parallelism = %d, want 3", got)
-	}
-	dbDefault, err := Open()
-	if err != nil {
+	g := db.snapshot()
+	if err := db.Add(T(IRI("urn:x"), Type, IRI("urn:a"))); err != nil {
 		t.Fatal(err)
 	}
-	if got := dbDefault.parallelism(); got != 1 {
-		t.Fatalf("default parallelism = %d, want 1", got)
+	if _, _, err := db.preparedData(context.Background(), g, false); err != nil {
+		t.Fatal(err)
+	}
+	st := db.Stats()
+	if st.PreparedFallbackStale != 1 || st.PreparedFull != 1 {
+		t.Fatalf("stale=%d full=%d, want 1 and 1", st.PreparedFallbackStale, st.PreparedFull)
+	}
+	if db.preparedHit(g, false) != nil || db.preparedHit(db.snapshot(), false) != nil {
+		t.Fatal("a stale snapshot's universe was cached")
 	}
 }

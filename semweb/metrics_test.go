@@ -4,7 +4,7 @@ package semweb
 // histogram agrees with the Stats prepared counters, histogram time
 // never exceeds wall time over a serial section, and the process-global
 // registry stays valid and monotone under concurrent load + stream +
-// snapshot traffic (the race-obs CI leg runs this file under -race).
+// snapshot traffic (`make test-race` runs this file under -race).
 
 import (
 	"bytes"

@@ -98,7 +98,6 @@ func (db *DB) Stream(ctx context.Context, q *Query) (*Rows, error) {
 		Semantics:      db.cfg.semantics,
 		SkipNormalForm: db.cfg.skipNormalForm,
 		MaxMatchings:   q.maxMatchings,
-		Parallelism:    db.parallelism(),
 	}
 	if q.semanticsSet {
 		opts.Semantics = q.semantics

@@ -92,7 +92,7 @@ func TestLoadQueryTakesDeltaPath(t *testing.T) {
 // TestConcurrentLoadAndStream interleaves load traffic with streaming
 // queries over one database — every request must succeed and every
 // stream must end with a clean trailer, under the race detector via
-// `make race-delta`.
+// `make test-race`.
 func TestConcurrentLoadAndStream(t *testing.T) {
 	_, url := newTestServer(t, serve.Config{})
 	post(t, url+"/v1/art/load", "application/n-triples", ntDoc(30))

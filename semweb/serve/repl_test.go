@@ -2,8 +2,8 @@ package serve_test
 
 // Replication through the real HTTP stack: a follower Server dials a
 // leader Server's /repl endpoints exactly like a production semwebd
-// -follow does. The race-repl CI leg runs this file under -race, with
-// concurrent leader loads against replica queries.
+// -follow does. The CI race job (`make test-race`) runs this file under
+// -race, with concurrent leader loads against replica queries.
 
 import (
 	"encoding/json"
