@@ -760,13 +760,10 @@ var addUniq int64
 
 // BenchmarkAddThenQuery measures the write-then-read cycle of a
 // long-lived database with a warm prepared cache: insert a batch of
-// ground triples, then run one premise-free query. The delta variants
-// fold the batch into the cached matching universe by semi-naive
-// maintenance; the full variants (WithoutIncrementalPrepare) pay a
-// from-scratch re-preparation of the whole snapshot per cycle, which
-// is the pre-incremental behavior. Batch construction happens outside
-// the timer: the measured op is Add (intern + publish + queue/drop)
-// plus the Eval that triggers maintenance or re-preparation.
+// ground triples, then run one premise-free query, which folds the
+// batch into the cached matching universe by semi-naive maintenance.
+// Batch construction happens outside the timer: the measured op is Add
+// (intern + publish + queue) plus the Eval that triggers maintenance.
 func BenchmarkAddThenQuery(b *testing.B) {
 	addThenQueryBase.once.Do(func() {
 		addThenQueryBase.g = buildAddThenQueryBase()
@@ -785,73 +782,64 @@ func BenchmarkAddThenQuery(b *testing.B) {
 		Head(semweb.T(X, semweb.IRI("urn:aq:hit"), semweb.IRI("urn:aq:yes"))).
 		Body(semweb.T(X, semweb.IRI("urn:aq:p"), semweb.IRI("urn:aq:o")))
 
-	modes := []struct {
-		name string
-		opts []semweb.Option
-	}{
-		{"delta", nil},
-		{"full", []semweb.Option{semweb.WithoutIncrementalPrepare()}},
-	}
-	for _, mode := range modes {
-		for _, batch := range []int{1, 100, 10000} {
-			b.Run(fmt.Sprintf("%s/batch%d", mode.name, batch), func(b *testing.B) {
-				db, err := semweb.Open(mode.opts...)
+	for _, batch := range []int{1, 100, 10000} {
+		b.Run(fmt.Sprintf("delta/batch%d", batch), func(b *testing.B) {
+			db, err := semweb.Open()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := db.AddGraph(base); err != nil {
+				b.Fatal(err)
+			}
+			if err := db.Add(sentinel); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := db.Eval(ctx, probe); err != nil {
+				b.Fatal(err) // warm the prepared cache
+			}
+			freshBatch := func() []semweb.Triple {
+				ts := make([]semweb.Triple, batch)
+				for j := range ts {
+					addUniq++
+					// Fresh entities on an unconstrained predicate: the
+					// derivation-light data write that is the common
+					// case for a live store — and the case where a full
+					// re-preparation is purest waste, since the whole
+					// derived hierarchy is recomputed unchanged.
+					ts[j] = semweb.T(
+						term.NewIRI(fmt.Sprintf("urn:aq:fresh:%d", addUniq)),
+						semweb.IRI("urn:aq:edge"),
+						term.NewIRI(fmt.Sprintf("urn:aq:tgt:%d", addUniq)),
+					)
+				}
+				return ts
+			}
+			// One untimed cycle seeds the retained maintainer so the
+			// loop measures steady-state writes.
+			if err := db.Add(freshBatch()...); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := db.Eval(ctx, probe); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ts := freshBatch()
+				b.StartTimer()
+				if err := db.Add(ts...); err != nil {
+					b.Fatal(err)
+				}
+				ans, err := db.Eval(ctx, probe)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := db.AddGraph(base); err != nil {
-					b.Fatal(err)
+				if ans.Len() != 1 {
+					b.Fatalf("probe answer has %d triples, want 1", ans.Len())
 				}
-				if err := db.Add(sentinel); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := db.Eval(ctx, probe); err != nil {
-					b.Fatal(err) // warm the prepared cache
-				}
-				freshBatch := func() []semweb.Triple {
-					ts := make([]semweb.Triple, batch)
-					for j := range ts {
-						addUniq++
-						// Fresh entities on an unconstrained predicate: the
-						// derivation-light data write that is the common
-						// case for a live store — and the case where a full
-						// re-preparation is purest waste, since the whole
-						// derived hierarchy is recomputed unchanged.
-						ts[j] = semweb.T(
-							term.NewIRI(fmt.Sprintf("urn:aq:fresh:%d", addUniq)),
-							semweb.IRI("urn:aq:edge"),
-							term.NewIRI(fmt.Sprintf("urn:aq:tgt:%d", addUniq)),
-						)
-					}
-					return ts
-				}
-				// One untimed cycle seeds the retained maintainer so the
-				// loop measures steady-state writes.
-				if err := db.Add(freshBatch()...); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := db.Eval(ctx, probe); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					ts := freshBatch()
-					b.StartTimer()
-					if err := db.Add(ts...); err != nil {
-						b.Fatal(err)
-					}
-					ans, err := db.Eval(ctx, probe)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if ans.Len() != 1 {
-						b.Fatalf("probe answer has %d triples, want 1", ans.Len())
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

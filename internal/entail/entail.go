@@ -13,7 +13,6 @@ import (
 	"context"
 
 	"semwebdb/internal/closure"
-	"semwebdb/internal/cq"
 	"semwebdb/internal/graph"
 	"semwebdb/internal/hom"
 	"semwebdb/internal/rdfs"
@@ -133,26 +132,6 @@ func EquivalentCtx(ctx context.Context, g1, g2 *graph.Graph) (bool, error) {
 		return false, err
 	}
 	return EntailsCtx(ctx, g2, g1)
-}
-
-// EntailsAuto decides G1 ⊨ G2 routing through the guaranteed-polynomial
-// evaluation paths of Section 2.4 when they apply: if G2 has no cycles
-// induced by blank nodes, its associated conjunctive query is acyclic and
-// is evaluated by Yannakakis semijoins over D_{cl(G1)}; otherwise the
-// backtracking map search is used. Both paths implement Theorem 2.8.
-func EntailsAuto(g1, g2 *graph.Graph) bool {
-	target := g1
-	if !rdfs.IsSimple(g1) || !rdfs.IsSimple(g2) {
-		target = closure.RDFSCl(g1)
-	}
-	if cq.BlankCycleFree(g2) {
-		q := cq.FromGraphQuery(g2)
-		d := cq.FromGraphDatabase(target)
-		if ok, err := cq.EvaluateYannakakis(q, d); err == nil {
-			return ok
-		}
-	}
-	return hom.ExistsMap(g2, target)
 }
 
 // EntailsWithProof decides G1 ⊨ G2 and, when it holds, returns a checked

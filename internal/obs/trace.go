@@ -16,9 +16,9 @@ import (
 // single nil check. All methods are safe on a nil receiver — they do
 // nothing — so instrumentation sites never branch.
 //
-// A Trace is safe for concurrent use: the producer goroutine of a
-// streaming evaluation and the HTTP handler consuming it may both
-// record spans.
+// A Trace is safe for concurrent use: any goroutine carrying the
+// context may record spans — an engine layer and the HTTP handler
+// serving its rows need not coordinate.
 type Trace struct {
 	t0 time.Time
 

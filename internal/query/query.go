@@ -221,22 +221,30 @@ type Answer struct {
 	Semantics Semantics
 }
 
-// Evaluate computes the answer of q over the database d (Definition 4.3).
-// The matching universe is nf(D + P), per Note 4.4, where + is merge.
+// Evaluate computes the answer of q over the database d (Definition 4.3):
+// the matching universe nf(D + P) of Note 4.4 is built by Universe and
+// the answer assembled by EvaluatePreparedIndexCtx.
 func Evaluate(q *Query, d *graph.Graph, opts Options) (*Answer, error) {
-	return EvaluateCtx(context.Background(), q, d, opts)
+	ctx := context.Background()
+	ix, err := Universe(ctx, q, d, opts.SkipNormalForm)
+	if err != nil {
+		return nil, err
+	}
+	return EvaluatePreparedIndexCtx(ctx, q, ix, opts)
 }
 
-// EvaluateCtx is Evaluate under a context: the closure saturation, the
-// normal-form retraction searches, and the body-matching backtracking
-// loop all poll ctx and abort with its error when it is cancelled or its
-// deadline passes.
+// Universe builds the matching universe of q over the database d and
+// returns the match index over it: nf(D + P) per Note 4.4, where + is
+// merge and P is the premise of q — or cl(D + P) when skipNF is set.
+// Evaluating or streaming q against the index completes Definition 4.3.
+// The closure saturation and the normal-form retraction searches poll
+// ctx and abort with its error when it is cancelled.
 //
-// Evaluation never mutates the dictionaries of d or of the premise: the
-// merged universe, its saturation (skolem constants, RDFS vocabulary),
-// renamed premise blanks and everything evaluateIndexed interns all
-// land in scratch overlays (dict.Scratch) that die with the answer.
-func EvaluateCtx(ctx context.Context, q *Query, d *graph.Graph, opts Options) (*Answer, error) {
+// Universe never mutates the dictionaries of d or of the premise: the
+// merged universe, its saturation (skolem constants, RDFS vocabulary)
+// and the renamed premise blanks all land in scratch overlays
+// (dict.Scratch) owned by the returned index.
+func Universe(ctx context.Context, q *Query, d *graph.Graph, skipNF bool) (*match.Index, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -248,17 +256,18 @@ func EvaluateCtx(ctx context.Context, q *Query, d *graph.Graph, opts Options) (*
 		p := q.Premise.WithDict(q.Premise.Dict().Scratch())
 		data = graph.Merge(data, p)
 	}
-	data, err := Prepare(ctx, data, opts.SkipNormalForm)
+	data, err := Prepare(ctx, data, skipNF)
 	if err != nil {
 		return nil, err
 	}
-	return evaluateAgainst(ctx, q, data, opts)
+	return match.NewIndex(data), nil
 }
 
 // Prepare computes the matching universe for premise-free queries over
 // d: cl(D) when skipNormalForm is set, nf(D) otherwise. Callers
 // evaluating many queries against an unchanging database compute this
-// once and pass it to EvaluatePreparedCtx.
+// once, wrap it in a match.Index and pass that to
+// EvaluatePreparedIndexCtx or StreamPreparedIndexCtx.
 func Prepare(ctx context.Context, d *graph.Graph, skipNormalForm bool) (*graph.Graph, error) {
 	if skipNormalForm {
 		return closure.ClCtx(ctx, d)
@@ -273,63 +282,20 @@ func PrepareWorkers(ctx context.Context, d *graph.Graph, skipNormalForm bool, _ 
 	return Prepare(ctx, d, skipNormalForm)
 }
 
-// EvaluatePreparedCtx evaluates a premise-free query against a data
-// graph already normalized by Prepare, skipping the per-call closure
-// and core computation. The premise of q, if any, is ignored — callers
-// are responsible for routing premised queries through EvaluateCtx.
-func EvaluatePreparedCtx(ctx context.Context, q *Query, prepared *graph.Graph, opts Options) (*Answer, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		// A dead context must fail even when the prepared graph came
-		// from a cache and the match would be trivial.
-		return nil, err
-	}
-	return evaluateAgainst(ctx, q, prepared, opts)
-}
-
-// EvaluatePreparedIndexCtx is EvaluatePreparedCtx against a reusable
-// match.Index over the prepared graph, so callers (semweb.DB) can cache
-// the matcher's view alongside the prepared normal form. It never
-// interns into the prepared graph's dictionary: every term evaluation
-// mints (pattern terms, variables, Skolem blanks) lives in a scratch
-// overlay owned by the returned Answer, so concurrent evaluations over
-// one cached index are safe and the shared dictionary stays fixed.
-func EvaluatePreparedIndexCtx(ctx context.Context, q *Query, ix *match.Index, opts Options) (*Answer, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		// A dead context must fail even when the prepared graph came
-		// from a cache and the match would be trivial.
-		return nil, err
-	}
-	return evaluateIndexed(ctx, q, ix, opts)
-}
-
-// evaluateAgainst runs the matching and answer assembly against an
-// already-normalized data graph.
-func evaluateAgainst(ctx context.Context, q *Query, data *graph.Graph, opts Options) (*Answer, error) {
-	return evaluateIndexed(ctx, q, match.NewIndex(data), opts)
-}
-
-// evaluateIndexed runs the dictionary-encoded matching loop (see
-// streamIndexed, which it shares with the streaming API): the body is
-// solved over ID range scans, and each matching instantiates the head by
-// ID substitution — single answers share one dictionary with the data,
-// so deduplication and answer assembly compare integers. Strings appear
-// only in the Skolem signature (head blanks, a term-identity function by
-// Proposition 4.5) and in the final deterministic ordering.
+// EvaluatePreparedIndexCtx evaluates q against a matching universe
+// already built as a match index (by Universe, or by a caller caching
+// Prepare's result, as semweb.DB does) and materializes the answer: it
+// is the collecting consumer of the streaming core that
+// StreamPreparedIndexCtx also drives. The premise of q is not consulted
+// here — it belongs to the universe.
 //
-// Everything evaluation interns — body pattern terms, variables,
-// constraint IDs, the per-matching Skolem blanks — lands in a scratch
-// overlay (dict.Scratch) over the data dictionary, created here and
-// owned by the returned Answer. The data dictionary itself is never
-// mutated, so a long-lived database can serve any number of
-// (blank-headed, constrained, premised) queries without growing its
-// dictionary or its snapshots.
-func evaluateIndexed(ctx context.Context, q *Query, ix *match.Index, opts Options) (*Answer, error) {
+// It never interns into the index's dictionary: every term evaluation
+// mints (pattern terms, variables, constraint IDs, Skolem blanks) lives
+// in a scratch overlay owned by the returned Answer, so concurrent
+// evaluations over one cached index are safe and a long-lived database
+// can serve any number of queries without growing its dictionary or its
+// snapshots.
+func EvaluatePreparedIndexCtx(ctx context.Context, q *Query, ix *match.Index, opts Options) (*Answer, error) {
 	d := ix.Dict().Scratch()
 	ans := &Answer{Semantics: opts.Semantics}
 	st, err := streamIndexed(ctx, q, ix, opts, d, func(single *graph.Graph, _ match.Binding, _ int) bool {
@@ -357,17 +323,12 @@ func evaluateIndexed(ctx context.Context, q *Query, ix *match.Index, opts Option
 		ans.Singles[i] = s.g
 	}
 
-	switch opts.Semantics {
-	case MergeSemantics:
-		ans.Graph = graph.NewWithDict(d)
-		for i, s := range ans.Singles {
-			ans.Graph.AddAll(graph.RenameBlanksApart(s, fmt.Sprintf("!m%d", i)))
+	ans.Graph = graph.NewWithDict(d)
+	for i, s := range ans.Singles {
+		if opts.Semantics == MergeSemantics {
+			s = graph.RenameBlanksApart(s, fmt.Sprintf("!m%d", i))
 		}
-	default:
-		ans.Graph = graph.NewWithDict(d)
-		for _, s := range ans.Singles {
-			ans.Graph.AddAll(s)
-		}
+		ans.Graph.AddAll(s)
 	}
 	return ans, nil
 }
@@ -513,39 +474,22 @@ func IsLeanAnswer(a *Answer) bool {
 // non-ground triple t and a map Gj → A∖{t}. This runs in time polynomial
 // in the number of single answers for a fixed query.
 func mergeAnswerLean(a *Answer) bool {
-	// Recreate the renamed singles as they appear inside a.Graph.
-	renamed := make([]*graph.Graph, len(a.Singles))
+	blanks := match.Options{IsUnknown: func(x term.Term) bool { return x.IsBlank() }}
 	for i, s := range a.Singles {
-		renamed[i] = graph.RenameBlanksApart(s, fmt.Sprintf("!m%d", i))
-	}
-	finder := newFinderCache(a.Graph)
-	for _, gj := range renamed {
+		// The single as it appears inside a.Graph.
+		gj := graph.RenameBlanksApart(s, fmt.Sprintf("!m%d", i))
 		for _, t := range gj.NonGroundTriples() {
-			if finder.mapsIntoWithout(gj, t) {
+			found := false
+			match.Solve(gj.Triples(), a.Graph.Without(t), blanks, func(match.Binding) bool {
+				found = true
+				return false
+			})
+			if found {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// finderCache performs repeated map searches into A∖{t} without
-// rebuilding the full index each time (the target differs by one triple).
-type finderCache struct {
-	a *graph.Graph
-}
-
-func newFinderCache(a *graph.Graph) *finderCache { return &finderCache{a: a} }
-
-func (f *finderCache) mapsIntoWithout(src *graph.Graph, t graph.Triple) bool {
-	target := f.a.Without(t)
-	blanks := func(x term.Term) bool { return x.IsBlank() }
-	found := false
-	match.Solve(src.Triples(), target, match.Options{IsUnknown: blanks}, func(match.Binding) bool {
-		found = true
-		return false
-	})
-	return found
 }
 
 // EliminateRedundancy returns an equivalent lean version of the answer

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -212,6 +213,46 @@ func TestPremisesSection42(t *testing.T) {
 	a2 := eval(t, q2, d, Options{})
 	if a2.Graph.Len() != 0 {
 		t.Fatalf("no-premise evaluation should be empty:\n%v", a2.Graph)
+	}
+}
+
+// TestUniverseLeavesDictsUnchanged: building nf(D + P) renames colliding
+// premise blanks, saturates (RDFS vocabulary, skolem constants) and
+// retracts, yet neither the data graph's nor the premise's dictionary
+// may gain a term — everything lands in overlays the index owns.
+func TestUniverseLeavesDictsUnchanged(t *testing.T) {
+	d := graph.New(
+		graph.T(blk("x"), iri("son"), iri("peter")),
+		graph.T(iri("john"), iri("brother"), iri("peter")),
+	)
+	premise := graph.New(
+		graph.T(blk("x"), iri("daughter"), iri("peter")),
+		graph.T(iri("son"), rdfs.SubPropertyOf, iri("relative")),
+		graph.T(iri("brother"), rdfs.SubPropertyOf, iri("relative")),
+	)
+	q := New(
+		[]graph.Triple{{S: v("X"), P: iri("relative"), O: blk("r")}},
+		[]graph.Triple{{S: v("X"), P: iri("relative"), O: iri("peter")}},
+	).WithPremise(premise)
+	dataTerms, premiseTerms := d.Dict().Len(), premise.Dict().Len()
+	for _, skipNF := range []bool{false, true} {
+		ix, err := Universe(context.Background(), q, d, skipNF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := EvaluatePreparedIndexCtx(context.Background(), q, ix, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Singles) != 2 {
+			t.Fatalf("skipNF=%v: singles = %d, want peter's two relatives:\n%v", skipNF, len(a.Singles), a.Graph)
+		}
+		if got := d.Dict().Len(); got != dataTerms {
+			t.Fatalf("skipNF=%v: data dictionary grew %d -> %d", skipNF, dataTerms, got)
+		}
+		if got := premise.Dict().Len(); got != premiseTerms {
+			t.Fatalf("skipNF=%v: premise dictionary grew %d -> %d", skipNF, premiseTerms, got)
+		}
 	}
 }
 

@@ -55,17 +55,12 @@ type StreamStats struct {
 // Cancellation: the solver polls ctx, so a context cancelled mid-stream
 // aborts the enumeration promptly and the error is returned here.
 //
-// Like EvaluatePreparedIndexCtx, it never interns into the prepared
-// graph's dictionary: all evaluation minting lands in a scratch overlay
-// that the emitted Graphs keep alive.
+// The index is the matching universe built by Universe (or a cached
+// Prepare result); a premised query streams correctly only against the
+// universe built for its premise. Like EvaluatePreparedIndexCtx, it
+// never interns into the index's dictionary: all evaluation minting
+// lands in a scratch overlay that the emitted Graphs keep alive.
 func StreamPreparedIndexCtx(ctx context.Context, q *Query, ix *match.Index, opts Options, yield func(Single) bool) (StreamStats, error) {
-	if err := q.Validate(); err != nil {
-		return StreamStats{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		// A dead context must fail even when the match would be trivial.
-		return StreamStats{}, err
-	}
 	d := ix.Dict().Scratch()
 	bodyVars := varsIn(q.Body)
 	bodyVarIDs := make([]dict.ID, len(bodyVars))
@@ -86,37 +81,26 @@ func StreamPreparedIndexCtx(ctx context.Context, q *Query, ix *match.Index, opts
 	})
 }
 
-// StreamCtx is the streaming analogue of EvaluateCtx: it computes the
-// matching universe nf(D + P) — or cl(D + P) under SkipNormalForm —
-// and then streams single answers through yield. The universe
-// preparation itself is not streamed (it is a fixpoint computation,
-// O(|cl(D+P)|) regardless), but everything after it is: no per-answer
-// state accumulates beyond the dedup fingerprints.
-func StreamCtx(ctx context.Context, q *Query, d *graph.Graph, opts Options, yield func(Single) bool) (StreamStats, error) {
+// streamIndexed is the streaming core: the one dictionary-encoded
+// matching loop behind both EvaluatePreparedIndexCtx (which collects)
+// and StreamPreparedIndexCtx (which hands rows on). The body is solved
+// over ID range scans and each matching instantiates the head by ID
+// substitution, so deduplication compares integers; strings appear only
+// in the Skolem signature of head blanks (a term-identity function by
+// Proposition 4.5). Deduplicated single answers are handed to emit one
+// at a time, in solver enumeration order. The caller supplies the
+// scratch overlay d (over ix.Dict()) that owns all evaluation minting.
+// emit returning false stops the enumeration early; that is not a
+// truncation.
+func streamIndexed(ctx context.Context, q *Query, ix *match.Index, opts Options, d *dict.Dict, emit func(single *graph.Graph, b match.Binding, matching int) bool) (StreamStats, error) {
 	if err := q.Validate(); err != nil {
 		return StreamStats{}, err
 	}
-	data := d.WithDict(d.Dict().Scratch())
-	if q.Premise != nil && q.Premise.Len() > 0 {
-		p := q.Premise.WithDict(q.Premise.Dict().Scratch())
-		data = graph.Merge(data, p)
-	}
-	data, err := Prepare(ctx, data, opts.SkipNormalForm)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
+		// A dead context must fail even when the universe came from a
+		// cache and the match would be trivial.
 		return StreamStats{}, err
 	}
-	return StreamPreparedIndexCtx(ctx, q, match.NewIndex(data), opts, yield)
-}
-
-// streamIndexed is the dictionary-encoded matching loop shared by the
-// materializing (evaluateIndexed) and streaming (Stream*) paths: the
-// body is solved over ID range scans and each matching instantiates
-// the head by ID substitution; deduplicated single answers are handed
-// to emit one at a time, in solver enumeration order. The caller
-// supplies the scratch overlay d (over ix.Dict()) that owns all
-// evaluation minting. emit returning false stops the enumeration
-// early; that is not a truncation.
-func streamIndexed(ctx context.Context, q *Query, ix *match.Index, opts Options, d *dict.Dict, emit func(single *graph.Graph, b match.Binding, matching int) bool) (StreamStats, error) {
 	inst := newHeadInstantiator(q, d)
 
 	constrained := make(map[dict.ID]bool, len(q.Constraints))
@@ -163,8 +147,5 @@ func streamIndexed(ctx context.Context, q *Query, ix *match.Index, opts Options,
 		st.Singles++
 		return emit(single, b, st.Matchings)
 	})
-	if err := solver.Err(); err != nil {
-		return st, err
-	}
-	return st, nil
+	return st, solver.Err()
 }

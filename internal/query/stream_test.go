@@ -151,17 +151,22 @@ func TestStreamDeadContext(t *testing.T) {
 	}
 }
 
-// TestStreamCtxPremise routes a premised query through StreamCtx and
-// checks the premise-derived matchings arrive.
-func TestStreamCtxPremise(t *testing.T) {
+// TestStreamUniversePremise streams a premised query against the
+// universe Universe builds for it and checks the premise-derived
+// matchings arrive.
+func TestStreamUniversePremise(t *testing.T) {
 	ctx := context.Background()
 	data := chainData(2)
 	premise := graph.New(graph.T(
 		term.NewIRI("urn:s:99"), term.NewIRI("urn:p"), term.NewIRI("urn:o:99")))
 	q := streamQuery().WithPremise(premise)
 
+	ix, err := Universe(ctx, q, data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := map[string]bool{}
-	st, err := StreamCtx(ctx, q, data, Options{}, func(s Single) bool {
+	st, err := StreamPreparedIndexCtx(ctx, q, ix, Options{}, func(s Single) bool {
 		got[s.Binding[term.NewVar("X")].String()] = true
 		return true
 	})

@@ -135,7 +135,6 @@ type prepCounters struct {
 	fbNonGroundBatch atomic.Uint64
 	fbCompact        atomic.Uint64
 	fbError          atomic.Uint64
-	fbDisabled       atomic.Uint64
 	fbStale          atomic.Uint64
 }
 
@@ -146,7 +145,6 @@ type config struct {
 	initial        *Graph
 	walThreshold   int64
 	noFsync        bool
-	noDeltaPrepare bool // disable incremental prepared-cache maintenance
 }
 
 // File names inside a durable database directory (see OpenAt).
@@ -186,17 +184,6 @@ func WithGraph(g *Graph) Option {
 // compaction on open. It has no effect on in-memory databases.
 func WithWALThreshold(bytes int64) Option {
 	return func(c *config) { c.walThreshold = bytes }
-}
-
-// WithoutIncrementalPrepare disables delta maintenance of the cached
-// matching universe: every mutation invalidates the prepared state, so
-// the first query after any insert re-runs saturation (and the
-// normal-form retraction) from scratch — the pre-incremental behavior.
-// It exists as the A/B baseline for BenchmarkAddThenQuery and as an
-// escape hatch; production write-heavy deployments should leave
-// incremental maintenance on.
-func WithoutIncrementalPrepare() Option {
-	return func(c *config) { c.noDeltaPrepare = true }
 }
 
 // WithoutFsync disables fsync on WAL batches and snapshot writes.
@@ -372,20 +359,18 @@ func (db *DB) addGraphs(adds []*graph.Graph) error {
 
 // noteInsertLocked records freshly inserted triples against the
 // prepared-universe cache (caller holds mu). When incremental
-// maintenance applies — cache present, maintenance enabled, cached
-// snapshot and batch both ground — the batch is queued for semi-naive
-// delta application on the next query. Otherwise the cache is dropped
-// and the matching fallback counter bumped: blank nodes make the
-// lean-core step non-incremental (an inserted triple can make
-// previously-core blanks mappable, retracting triples from nf(D)), so
-// only the ground paths, where nf(D) = cl(D), are maintained in place.
+// maintenance applies — cache present, cached snapshot and batch both
+// ground — the batch is queued for semi-naive delta application on the
+// next query. Otherwise the cache is dropped and the matching fallback
+// counter bumped: blank nodes make the lean-core step non-incremental
+// (an inserted triple can make previously-core blanks mappable,
+// retracting triples from nf(D)), so only the ground paths, where
+// nf(D) = cl(D), are maintained in place.
 func (db *DB) noteInsertLocked(fresh []dict.Triple3) {
 	if db.prepared == nil {
 		return
 	}
 	switch {
-	case db.cfg.noDeltaPrepare:
-		db.prepStats.fbDisabled.Add(1)
 	case !db.preparedGround:
 		db.prepStats.fbNonGroundBase.Add(1)
 	case !groundBatch(db.dict, fresh):
@@ -420,15 +405,17 @@ func groundBatch(d *dict.Dict, ts []dict.Triple3) bool {
 
 // preparedData returns the cached premise-free matching universe and
 // match index for the snapshot g, computing (or incrementally
-// extending) and caching both on first use.
+// extending) and caching both on first use. It is where plan gets the
+// universe of every premise-free Eval and Stream; premised queries
+// build theirs per query with query.Universe instead.
 //
 // The universe is prepared over a scratch overlay of the shared
 // dictionary: the skolem constants and vocabulary the saturation
 // interns live in the overlay, which the cached prepared graph keeps
-// alive until the cache is replaced — so even the first Eval after a
+// alive until the cache is replaced — so even the first query after a
 // load leaves DictTerms untouched. Per-query interning then goes into
 // a second, evaluation-owned overlay layered on this one (see
-// query.EvaluatePreparedIndexCtx).
+// query.EvaluatePreparedIndexCtx and query.StreamPreparedIndexCtx).
 //
 // Resolution order: an exact cache hit is lock-cheap; otherwise, under
 // prepMu, the pending insert queue is folded into the cached states by
@@ -436,23 +423,24 @@ func groundBatch(d *dict.Dict, ts []dict.Triple3) bool {
 // computed from scratch. prepMu serializes all of this, so concurrent
 // first queries after a mutation wait for one maintenance pass instead
 // of racing duplicate saturations.
-// The returned path names which branch resolved the request (the
-// prepPath* constants) and labels semweb_query_seconds.
-func (db *DB) preparedData(ctx context.Context, g *graph.Graph, skipNF bool) (*preparedState, string, error) {
+//
+// The returned histogram is the semweb_query_seconds child labelled
+// with the branch that resolved the request.
+func (db *DB) preparedData(ctx context.Context, g *graph.Graph, skipNF bool) (*preparedState, *obs.Histogram, error) {
 	if st := db.preparedHit(g, skipNF); st != nil {
-		return st, prepPathCached, nil
+		return st, querySecondsCached, nil
 	}
 	db.prepMu.Lock()
 	defer db.prepMu.Unlock()
 	if st := db.preparedHit(g, skipNF); st != nil {
-		return st, prepPathCached, nil // filled while waiting for prepMu
+		return st, querySecondsCached, nil // filled while waiting for prepMu
 	}
 	st, err := db.deltaPrepare(ctx, g, skipNF)
 	if st != nil || err != nil {
-		return st, prepPathDelta, err
+		return st, querySecondsDelta, err
 	}
 	st, err = db.fullPrepare(ctx, g, skipNF)
-	return st, prepPathFull, err
+	return st, querySecondsFull, err
 }
 
 // preparedHit returns the cached state when the cache exactly covers
@@ -924,14 +912,15 @@ type Stats struct {
 	// prepared cache instead of queueing a delta, by reason: the
 	// cached snapshot had blank nodes, the inserted batch had blank
 	// nodes (either makes the lean-core step non-incremental), a
-	// Compact renumbered the dictionary, a maintenance pass failed
-	// (e.g. cancelled mid-apply), or incremental maintenance was
-	// disabled with WithoutIncrementalPrepare.
+	// Compact renumbered the dictionary, or a maintenance pass failed
+	// (e.g. cancelled mid-apply).
 	PreparedFallbackNonGroundBase  uint64 `json:"prepared_fallback_non_ground_base"`
 	PreparedFallbackNonGroundBatch uint64 `json:"prepared_fallback_non_ground_batch"`
 	PreparedFallbackCompact        uint64 `json:"prepared_fallback_compact"`
 	PreparedFallbackError          uint64 `json:"prepared_fallback_error"`
-	PreparedFallbackDisabled       uint64 `json:"prepared_fallback_disabled"`
+	// Deprecated: always 0. Incremental maintenance can no longer be
+	// disabled; the field and its JSON key stay for existing readers.
+	PreparedFallbackDisabled uint64 `json:"prepared_fallback_disabled"`
 	// PreparedFallbackStale counts queries overtaken by a commit: their
 	// snapshot was no longer current when they reached preparation, so
 	// they re-saturated it from scratch without caching the result
@@ -960,7 +949,6 @@ func (db *DB) Stats() Stats {
 		PreparedFallbackNonGroundBatch: db.prepStats.fbNonGroundBatch.Load(),
 		PreparedFallbackCompact:        db.prepStats.fbCompact.Load(),
 		PreparedFallbackError:          db.prepStats.fbError.Load(),
-		PreparedFallbackDisabled:       db.prepStats.fbDisabled.Load(),
 		PreparedFallbackStale:          db.prepStats.fbStale.Load(),
 	}
 	switch {
@@ -1031,59 +1019,79 @@ func (db *DB) Infers(t Triple) bool {
 // ErrCancelled. Malformed queries fail with an error wrapping
 // ErrMalformedQuery.
 func (db *DB) Eval(ctx context.Context, q *Query) (*Answer, error) {
+	p, err := db.plan(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	endSolve := obs.TraceFrom(ctx).StartSpan("solve")
+	ans, err := query.EvaluatePreparedIndexCtx(ctx, p.iq, p.ix, p.opts)
+	endSolve()
+	if err != nil {
+		return nil, wrapEngineError(err)
+	}
+	p.observe(len(ans.Singles), ans.Truncated)
+	return &Answer{inner: ans}, nil
+}
+
+// queryPlan is a compiled query bound to the matching universe it runs
+// against: Eval collects its answer, Stream streams it.
+type queryPlan struct {
+	iq      *query.Query
+	opts    query.Options
+	ix      *match.Index
+	t0      time.Time      // when the query arrived
+	seconds *obs.Histogram // semweb_query_seconds child for how ix was resolved
+}
+
+// plan is the step Eval and Stream share. It compiles q, resolves its
+// options against the DB defaults, takes the current snapshot and gets
+// the matching universe for it: the cached nf(D) (or cl(D)) from
+// preparedData for a premise-free query, or a per-query nf(D + P) from
+// query.Universe for a premised one — a premise changes the universe,
+// so nothing is cached across queries. Resolving the universe is the
+// "prepare" span of the query's trace.
+func (db *DB) plan(ctx context.Context, q *Query) (*queryPlan, error) {
+	t0 := time.Now()
 	if q == nil {
 		return nil, &malformedQueryError{cause: fmt.Errorf("nil query")}
 	}
-	t0 := time.Now()
-	tr := obs.TraceFrom(ctx)
 	iq, err := q.compile()
 	if err != nil {
 		return nil, err
 	}
-	opts := query.Options{
+	p := &queryPlan{iq: iq, t0: t0, seconds: querySecondsPremise, opts: query.Options{
 		Semantics:      db.cfg.semantics,
-		SkipNormalForm: db.cfg.skipNormalForm,
+		SkipNormalForm: db.cfg.skipNormalForm || q.skipNF,
 		MaxMatchings:   q.maxMatchings,
-	}
+	}}
 	if q.semanticsSet {
-		opts.Semantics = q.semantics
-	}
-	if q.skipNF {
-		opts.SkipNormalForm = true
+		p.opts.Semantics = q.semantics
 	}
 	g := db.snapshot()
-	var ans *query.Answer
-	path := prepPathPremise
+	defer obs.TraceFrom(ctx).StartSpan("prepare")()
 	if iq.Premise == nil || iq.Premise.Len() == 0 {
-		// Premise-free: match against the cached nf(D) (or cl(D)) and
-		// its cached match index, computed once per snapshot instead of
-		// once per query.
-		endPrepare := tr.StartSpan("prepare")
-		st, p, perr := db.preparedData(ctx, g, opts.SkipNormalForm)
-		endPrepare()
-		if perr != nil {
-			return nil, wrapEngineError(perr)
+		st, seconds, err := db.preparedData(ctx, g, p.opts.SkipNormalForm)
+		if err != nil {
+			return nil, wrapEngineError(err)
 		}
-		path = p
-		endSolve := tr.StartSpan("solve")
-		ans, err = query.EvaluatePreparedIndexCtx(ctx, iq, st.ix, opts)
-		endSolve()
-	} else {
-		// A premise changes the matching universe to nf(D + P); no
-		// caching across queries is possible.
-		endSolve := tr.StartSpan("solve")
-		ans, err = query.EvaluateCtx(ctx, iq, g, opts)
-		endSolve()
+		p.ix, p.seconds = st.ix, seconds
+		return p, nil
 	}
-	if err != nil {
+	if p.ix, err = query.Universe(ctx, iq, g, p.opts.SkipNormalForm); err != nil {
 		return nil, wrapEngineError(err)
 	}
-	querySecondsFor(path).ObserveSince(t0)
-	queryRows.Add(uint64(len(ans.Singles)))
-	if ans.Truncated {
+	return p, nil
+}
+
+// observe records the finished query: its latency under the path that
+// resolved its universe, its rows, and whether a LimitMatchings cap cut
+// it off.
+func (p *queryPlan) observe(rows int, truncated bool) {
+	p.seconds.ObserveSince(p.t0)
+	queryRows.Add(uint64(rows))
+	if truncated {
 		queryTruncations.Inc()
 	}
-	return &Answer{inner: ans}, nil
 }
 
 // Entails reports D ⊨ h. The closure saturation behind the decision

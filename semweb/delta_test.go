@@ -149,10 +149,11 @@ func TestDeltaPreparedMatchesFromScratch(t *testing.T) {
 	})
 }
 
-// TestDeltaAnswersMatchFullReprepare feeds the same interleaved
-// insert/query script to an incrementally maintained database and one
-// with WithoutIncrementalPrepare, and requires identical answers at
-// every step — then checks each database really took its path.
+// TestDeltaAnswersMatchFullReprepare feeds an interleaved insert/query
+// script to an incrementally maintained database and, at every step,
+// requires answers identical to those of a fresh database opened over
+// the same triples — a fresh database always prepares in full — then
+// checks the incremental one really took the delta path.
 func TestDeltaAnswersMatchFullReprepare(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	v := deltaVocab{rng}
@@ -161,22 +162,22 @@ func TestDeltaAnswersMatchFullReprepare(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inc.Close()
-	full, err := Open(WithoutIncrementalPrepare())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer full.Close()
 
 	step := func(ts []Triple) {
 		t.Helper()
 		if err := inc.Add(ts...); err != nil {
 			t.Fatal(err)
 		}
-		if err := full.Add(ts...); err != nil {
+		full, err := Open(WithGraph(inc.Graph()))
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer full.Close()
 		aNF, aCl := evalBothFlags(t, inc)
 		bNF, bCl := evalBothFlags(t, full)
+		if st := full.Stats(); st.PreparedFull != 2 || st.PreparedDelta != 0 {
+			t.Fatalf("fresh DB: full=%d delta=%d, want 2/0", st.PreparedFull, st.PreparedDelta)
+		}
 		if aNF.NTriples() != bNF.NTriples() {
 			t.Fatalf("nf answers diverge:\n%s\nvs\n%s", aNF.NTriples(), bNF.NTriples())
 		}
@@ -189,15 +190,8 @@ func TestDeltaAnswersMatchFullReprepare(t *testing.T) {
 		step(v.triples(1 + rng.Intn(25)))
 	}
 
-	is, fs := inc.Stats(), full.Stats()
-	if is.PreparedDelta == 0 {
-		t.Fatal("incremental DB never took the delta path")
-	}
-	if fs.PreparedDelta != 0 || fs.PreparedFallbackDisabled == 0 {
-		t.Fatalf("disabled DB: delta=%d disabled=%d, want 0 and >0", fs.PreparedDelta, fs.PreparedFallbackDisabled)
-	}
-	if fs.PreparedFull <= is.PreparedFull {
-		t.Fatalf("disabled DB re-prepared %d times vs incremental %d; expected strictly more", fs.PreparedFull, is.PreparedFull)
+	if st := inc.Stats(); st.PreparedDelta == 0 || st.PreparedFull != 2 {
+		t.Fatalf("incremental DB: full=%d delta=%d, want 2 and >0", st.PreparedFull, st.PreparedDelta)
 	}
 }
 
@@ -352,31 +346,6 @@ func TestDeltaFallbacks(t *testing.T) {
 		evalBothFlags(t, db)
 		if st := db.Stats(); st.PreparedFull != 4 {
 			t.Fatalf("full=%d after compact, want 4 (cache rebuilt)", st.PreparedFull)
-		}
-	})
-
-	t.Run("disabled", func(t *testing.T) {
-		db, err := Open(WithoutIncrementalPrepare())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		if err := db.Add(ground...); err != nil {
-			t.Fatal(err)
-		}
-		evalBothFlags(t, db)
-		if err := db.Add(T(IRI("urn:f:y"), Type, IRI("urn:f:c1"))); err != nil {
-			t.Fatal(err)
-		}
-		if st := db.Stats(); st.PreparedFallbackDisabled != 1 {
-			t.Fatalf("fallback counter = %d, want 1", st.PreparedFallbackDisabled)
-		}
-		evalBothFlags(t, db)
-		if st := db.Stats(); st.PreparedDelta != 0 {
-			t.Fatalf("delta = %d with incremental prepare disabled, want 0", st.PreparedDelta)
-		}
-		if !db.Infers(T(IRI("urn:f:y"), Type, IRI("urn:f:c2"))) {
-			t.Fatal("disabled path lost a derivation")
 		}
 	})
 }

@@ -27,26 +27,3 @@ var (
 	compactionsManual = compactionsVec.With("manual")
 	compactionsAuto   = compactionsVec.With("auto")
 )
-
-// querySecondsFor maps a preparedData path to its pre-resolved child.
-func querySecondsFor(path string) *obs.Histogram {
-	switch path {
-	case prepPathCached:
-		return querySecondsCached
-	case prepPathDelta:
-		return querySecondsDelta
-	case prepPathFull:
-		return querySecondsFull
-	default:
-		return querySecondsPremise
-	}
-}
-
-// Matching-universe resolution paths, as reported by preparedData and
-// used as semweb_query_seconds label values.
-const (
-	prepPathCached  = "cached"
-	prepPathDelta   = "delta"
-	prepPathFull    = "full"
-	prepPathPremise = "premise"
-)

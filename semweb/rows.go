@@ -3,9 +3,9 @@ package semweb
 import (
 	"context"
 	"errors"
-	"fmt"
+	"iter"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"semwebdb/internal/obs"
 	"semwebdb/internal/query"
@@ -40,14 +40,16 @@ type Row struct {
 //	}
 //	if err := rows.Err(); err != nil { ... }
 //
-// The solver runs concurrently with the consumer and is backpressured
-// by it: it computes at most one row beyond the one the consumer holds,
-// so evaluating a query whose answer has N single answers allocates
-// O(max row size), not O(N), ahead of consumption — the first row is
-// available as soon as the first matching is found. (The matching
-// universe nf(D)/cl(D) is still prepared up front — its cost depends on
-// the database, not the answer size — and the dedup fingerprint set
-// grows with the distinct rows already delivered.)
+// Rows is a pull cursor: the solver runs on the goroutine calling Next,
+// and only inside Next — it advances to the next single answer and
+// suspends there until Next is called again (iter.Pull). Evaluating a
+// query whose answer has N single answers therefore allocates O(max row
+// size), not O(N), ahead of consumption, and the first row is available
+// as soon as the first matching is found. (The matching universe
+// nf(D)/cl(D) or nf(D + P) is prepared up front, by Stream — its cost
+// depends on the database, not the answer size — and the dedup
+// fingerprint set grows with the distinct rows already delivered.) A
+// panic in the solver surfaces from Next, on the caller's goroutine.
 //
 // Rows arrive in solver enumeration order, which is deterministic for a
 // fixed snapshot but is not the canonical sorted order of
@@ -55,26 +57,26 @@ type Row struct {
 //
 // Cancelling the context passed to Stream, or calling Close, aborts the
 // solver promptly mid-enumeration. A Rows is not safe for concurrent
-// use by multiple goroutines (Close excepted, which may race a reader).
+// use by multiple goroutines, Close excepted: Close may be called from
+// another goroutine while Next is blocked, and then both return.
 type Rows struct {
+	ctx    context.Context // Stream's ctx, cancelled by Close
 	cancel context.CancelFunc
-	ch     chan Row
+	plan   *queryPlan
 	cur    Row
 
-	// Metric/trace state, fixed by Stream before the producer starts:
-	// the wall-clock origin, the matching-universe path labeling
-	// semweb_query_seconds, and the per-query trace (nil-safe).
-	t0   time.Time
-	path string
-	tr   *obs.Trace
+	// closed is set by Close before it cancels ctx, so produce can tell
+	// a Close-induced cancellation from the caller's.
+	closed atomic.Bool
 
-	mu        sync.Mutex
-	closed    bool  // guarded by mu; Close was called
-	finished  bool  // guarded by mu; producer goroutine has exited
-	err       error // guarded by mu; terminal stream error (wrapped), nil while running
-	matchings int   // guarded by mu
-	rows      int   // guarded by mu
-	truncated bool  // guarded by mu
+	// mu serializes next and stop — iter.Pull forbids calling them
+	// concurrently — and so Next against a Close from another
+	// goroutine; produce runs only inside them.
+	mu   sync.Mutex
+	next func() (Row, bool) // guarded by mu
+	stop func()             // guarded by mu
+	err  error              // guarded by mu; terminal stream error (wrapped), nil while running
+	st   query.StreamStats  // guarded by mu; final once produce returns
 }
 
 // Stream evaluates q like Eval but returns a cursor over the single
@@ -83,122 +85,59 @@ type Rows struct {
 // cap is honored — a stream cut off by it reports Truncated once
 // exhausted — and ctx cancellation aborts the solver mid-enumeration.
 //
-// Validation errors surface here, before any row is produced; errors
-// during enumeration (cancellation included) surface on Rows.Err after
-// Next returns false. Always Close the returned cursor.
+// Stream resolves the matching universe before it returns — from the
+// prepared cache for a premise-free query, built per query for a
+// premised one — so validation and preparation errors (cancellation
+// during preparation included) surface here, before any row is
+// produced. Errors during enumeration surface on Rows.Err after Next
+// returns false. Always Close the returned cursor.
 func (db *DB) Stream(ctx context.Context, q *Query) (*Rows, error) {
-	if q == nil {
-		return nil, &malformedQueryError{cause: fmt.Errorf("nil query")}
-	}
-	iq, err := q.compile()
+	p, err := db.plan(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	opts := query.Options{
-		Semantics:      db.cfg.semantics,
-		SkipNormalForm: db.cfg.skipNormalForm,
-		MaxMatchings:   q.maxMatchings,
-	}
-	if q.semanticsSet {
-		opts.Semantics = q.semantics
-	}
-	if q.skipNF {
-		opts.SkipNormalForm = true
-	}
-	g := db.snapshot()
-
 	sctx, cancel := context.WithCancel(ctx)
-	r := &Rows{cancel: cancel, ch: make(chan Row),
-		t0: time.Now(), path: prepPathPremise, tr: obs.TraceFrom(ctx)}
-	if iq.Premise == nil || iq.Premise.Len() == 0 {
-		// Premise-free: resolve the cached matching universe up front so
-		// preparation errors surface synchronously, then stream against
-		// the cached match index.
-		endPrepare := r.tr.StartSpan("prepare")
-		st, path, perr := db.preparedData(sctx, g, opts.SkipNormalForm)
-		endPrepare()
-		if perr != nil {
-			cancel()
-			return nil, wrapEngineError(perr)
-		}
-		r.path = path
-		go r.run(sctx, func(yield func(query.Single) bool) (query.StreamStats, error) {
-			return query.StreamPreparedIndexCtx(sctx, iq, st.ix, opts, yield)
-		})
-	} else {
-		// A premise changes the matching universe to nf(D + P); the
-		// per-call preparation runs inside the producer so the cursor
-		// returns immediately.
-		go r.run(sctx, func(yield func(query.Single) bool) (query.StreamStats, error) {
-			return query.StreamCtx(sctx, iq, g, opts, yield)
-		})
-	}
+	r := &Rows{ctx: sctx, cancel: cancel, plan: p}
+	r.next, r.stop = iter.Pull(r.produce)
 	return r, nil
 }
 
-// Iter returns a streaming cursor over the single answers of q against
-// db; it is Stream with the receiver flipped, for call sites that read
-// better query-first. See Rows for the cursor contract.
-func (q *Query) Iter(ctx context.Context, db *DB) (*Rows, error) {
-	return db.Stream(ctx, q)
-}
-
-// run is the producer goroutine: it drives the streaming evaluation,
-// handing each row over the unbuffered channel (backpressure), and
-// records the terminal state before closing the channel.
-func (r *Rows) run(ctx context.Context, stream func(func(query.Single) bool) (query.StreamStats, error)) {
-	endStream := r.tr.StartSpan("stream")
-	st, err := stream(func(s query.Single) bool {
-		select {
-		case r.ch <- Row{Single: s.Graph, Bindings: s.Binding, Matching: s.Matching}:
-			return true
-		case <-ctx.Done():
-			// The consumer is gone (Close or context cancellation):
-			// stop the solver rather than block forever.
-			return false
-		}
+// produce is the cursor's iterator body: it drives the streaming core,
+// yielding each single answer as a Row, then records the terminal state
+// and the query's metrics. iter.Pull runs it only inside next and stop,
+// and their callers (Next, Close) hold mu — so the caller must hold mu.
+// A cursor closed before its first Next never runs it: nothing is
+// enumerated and no query observation is recorded.
+func (r *Rows) produce(yield func(Row) bool) {
+	endStream := obs.TraceFrom(r.ctx).StartSpan("stream")
+	st, err := query.StreamPreparedIndexCtx(r.ctx, r.plan.iq, r.plan.ix, r.plan.opts, func(s query.Single) bool {
+		return yield(Row{Single: s.Graph, Bindings: s.Binding, Matching: s.Matching})
 	})
-	if err == nil {
-		// The solver can stop through the yield path (blocked on a send
-		// when the context died) without observing the cancellation
-		// itself; surface it as the stream error in that case too.
-		err = ctx.Err()
-	}
-	r.mu.Lock()
-	r.matchings, r.rows, r.truncated = st.Matchings, st.Singles, st.Truncated
-	if err != nil {
-		// A cancellation triggered by Close itself is a clean shutdown,
-		// not a stream error; cancellation of the caller's context (or a
-		// deadline) still surfaces.
-		if !(r.closed && errors.Is(err, context.Canceled)) {
-			r.err = wrapEngineError(err)
-		}
-	}
-	r.finished = true
-	r.mu.Unlock()
 	endStream()
-	// Stream observations include consumer pacing: the producer is
-	// backpressured by Next, so this is the row-delivery wall time, not
-	// pure solver time.
-	querySecondsFor(r.path).ObserveSince(r.t0)
-	queryRows.Add(uint64(st.Singles))
-	if st.Truncated {
-		queryTruncations.Inc()
+	r.st = st
+	// A cancellation triggered by Close itself is a clean shutdown, not
+	// a stream error; cancellation of the caller's context (or a
+	// deadline) still surfaces.
+	if err != nil && !(r.closed.Load() && errors.Is(err, context.Canceled)) {
+		r.err = wrapEngineError(err)
 	}
-	close(r.ch)
+	// The solver advances only inside Next, so this is the row-delivery
+	// wall time, consumer pacing included — not pure solver time.
+	r.plan.observe(st.Singles, st.Truncated)
 }
 
-// Next advances the cursor to the next row, blocking until the solver
-// produces one. It returns false when the stream is exhausted, was cut
-// off by LimitMatchings, failed, or was cancelled — distinguish the
-// cases with Err and Truncated.
+// Next advances the cursor to the next row, running the solver until
+// it produces one. It returns false when the stream is exhausted, was
+// cut off by LimitMatchings, failed, or was cancelled or closed —
+// distinguish the cases with Err and Truncated.
 func (r *Rows) Next() bool {
-	row, ok := <-r.ch
-	if !ok {
-		return false
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	row, ok := r.next()
+	if ok {
+		r.cur = row
 	}
-	r.cur = row
-	return true
+	return ok
 }
 
 // Row returns the row Next advanced to. It is valid until the next
@@ -215,13 +154,13 @@ func (r *Rows) Err() error {
 	return r.err
 }
 
-// Matchings counts the body matchings considered so far; after Next
-// has returned false it is final and never exceeds a LimitMatchings
-// cap (the same contract as Answer.Matchings).
+// Matchings counts the body matchings considered; it is final once
+// Next has returned false and never exceeds a LimitMatchings cap (the
+// same contract as Answer.Matchings).
 func (r *Rows) Matchings() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.matchings
+	return r.st.Matchings
 }
 
 // Count reports the number of rows the stream has emitted. It is final
@@ -229,7 +168,7 @@ func (r *Rows) Matchings() int {
 func (r *Rows) Count() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.rows
+	return r.st.Singles
 }
 
 // Truncated reports whether the stream was cut off by LimitMatchings
@@ -238,23 +177,24 @@ func (r *Rows) Count() int {
 func (r *Rows) Truncated() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.truncated
+	return r.st.Truncated
 }
 
-// Close aborts the stream if it is still running, waits for the solver
-// to stop, and releases the cursor's resources. It is idempotent and
-// safe after exhaustion; it returns the terminal stream error, if any
+// Close aborts the stream if it is still running and releases the
+// cursor's resources; after it returns the solver has stopped and the
+// terminal state is final. It is idempotent and safe after exhaustion,
+// and it may be called from another goroutine while Next is blocked —
+// Next then returns false. It returns the terminal stream error, if any
 // (Close-induced cancellation is not an error). Every Stream call must
 // be paired with a Close.
 func (r *Rows) Close() error {
-	r.mu.Lock()
-	r.closed = true
-	r.mu.Unlock()
+	// Mark, then cancel: a solver observing the cancellation must see
+	// closed. The cancellation also unblocks a Next holding mu in
+	// another goroutine, so taking mu afterwards cannot deadlock.
+	r.closed.Store(true)
 	r.cancel()
-	// Drain until the producer closes the channel: this both unblocks a
-	// producer mid-send and makes Close a barrier — after it returns the
-	// solver goroutine has exited and the terminal state is final.
-	for range r.ch {
-	}
-	return r.Err()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.stop()
+	return r.err
 }

@@ -131,9 +131,9 @@ func TestStreamLimitMatchings(t *testing.T) {
 }
 
 // TestStreamFirstRowBounded is the first-row-latency regression test:
-// with an unbuffered cursor the solver must be backpressured, so after
-// the consumer has read one row of an n-row answer, the solver has
-// enumerated only O(1) matchings — not the whole answer.
+// the solver advances only inside Next, so after the consumer has read
+// one row of an n-row answer, the solver has enumerated only O(1)
+// matchings — not the whole answer.
 func TestStreamFirstRowBounded(t *testing.T) {
 	const n = 10000
 	db, q := streamDB(t, n)
@@ -145,9 +145,8 @@ func TestStreamFirstRowBounded(t *testing.T) {
 	if !rows.Next() {
 		t.Fatalf("no first row: %v", rows.Err())
 	}
-	// The producer can be at most one row ahead of the consumer (it
-	// blocks sending the second row); allow generous slack for the
-	// in-flight matching.
+	// The solver is suspended at the row the consumer holds; allow
+	// generous slack for the in-flight matching.
 	if m := rows.Matchings(); m > 16 {
 		t.Fatalf("after first row the solver had enumerated %d of %d matchings; cursor is not backpressured", m, n)
 	}
@@ -221,12 +220,51 @@ func TestStreamCloseIsClean(t *testing.T) {
 	}
 }
 
+// TestStreamCloseUnblocksNext closes the cursor from a second goroutine
+// while Next is blocked in an enumeration that would search for about a
+// minute without finding a row: both calls must return promptly, Next with
+// false, and the Close-induced cancellation must not count as an error.
+func TestStreamCloseUnblocksNext(t *testing.T) {
+	db, q, err := hardQuery(10) // K10 pattern, K9 data: no matching, long exhaustive search
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := db.Stream(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		closed <- rows.Close()
+	}()
+	start := time.Now()
+	if rows.Next() {
+		t.Fatal("Next delivered a row of an unsatisfiable query")
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("Close took %v to unblock Next, want prompt (<2s)", elapsed)
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatalf("Err after Close = %v, want nil", err)
+	}
+}
+
 // TestStreamPremise routes a premised query through the cursor: the
-// matching universe becomes nf(D + P), prepared inside the producer.
+// matching universe becomes nf(D + P), prepared by Stream itself — so a
+// dead context fails there, not on Rows.Err.
 func TestStreamPremise(t *testing.T) {
 	db, q := streamDB(t, 2)
 	q = q.WithPremiseTriples(semweb.T(
 		semweb.IRI("urn:s:77"), semweb.IRI("urn:p"), semweb.IRI("urn:o:77")))
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := db.Stream(dead, q); !errors.Is(err, semweb.ErrCancelled) {
+		t.Fatalf("Stream under a dead context = %v, want ErrCancelled", err)
+	}
 	rows, err := db.Stream(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +287,7 @@ func TestStreamPremise(t *testing.T) {
 }
 
 // TestStreamMalformedQuery verifies validation errors surface on Stream
-// itself, before any goroutine is spawned.
+// itself, before a cursor exists.
 func TestStreamMalformedQuery(t *testing.T) {
 	db, _ := streamDB(t, 1)
 	X := semweb.Var("X")
@@ -259,26 +297,6 @@ func TestStreamMalformedQuery(t *testing.T) {
 	}
 	if _, err := db.Stream(context.Background(), nil); !errors.Is(err, semweb.ErrMalformedQuery) {
 		t.Fatalf("nil query err = %v, want ErrMalformedQuery", err)
-	}
-}
-
-// TestStreamIter checks the Query.Iter sugar drives the same cursor.
-func TestStreamIter(t *testing.T) {
-	db, q := streamDB(t, 5)
-	rows, err := q.Iter(context.Background(), db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rows.Close()
-	n := 0
-	for rows.Next() {
-		n++
-	}
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("Iter delivered %d rows, want 5", n)
 	}
 }
 
