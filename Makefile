@@ -52,8 +52,9 @@ metrics-smoke:
 repl-smoke:
 	$(GO) test -run TestReplSmoke -count=1 -v ./cmd/semwebd
 
-# verify + static hygiene + the benchmark harness's own suite.
-check: verify vet fmt lint bench-e2e-test
+# verify + static hygiene + the benchmark harness's own suite + the
+# example programs (the only callers of several DB paper operations).
+check: verify vet fmt lint bench-e2e-test examples
 
 vet:
 	$(GO) vet ./...

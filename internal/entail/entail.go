@@ -70,21 +70,16 @@ func (c *Checker) Entails(h *graph.Graph) bool {
 
 // Witness returns a map μ : h → cl(G) witnessing G ⊨ h, if any.
 func (c *Checker) Witness(h *graph.Graph) (graph.Map, bool) {
-	if c.simple && !rdfs.IsSimple(h) {
-		// A simple left-hand side still entails reserved-vocabulary
-		// reflexivity triples; use the real closure for such h.
-		if c.fullFinder == nil {
-			c.fullFinder = hom.NewFinder(closure.RDFSCl(c.g))
-		}
-		return c.fullFinder.Find(h)
-	}
-	return c.finder.Find(h)
+	m, ok, _ := c.WitnessCtx(context.Background(), h)
+	return m, ok
 }
 
 // WitnessCtx is Witness under a context: the map search polls ctx and
 // aborts with its error when it is cancelled.
 func (c *Checker) WitnessCtx(ctx context.Context, h *graph.Graph) (graph.Map, bool, error) {
 	if c.simple && !rdfs.IsSimple(h) {
+		// A simple left-hand side still entails reserved-vocabulary
+		// reflexivity triples; use the real closure for such h.
 		if c.fullFinder == nil {
 			full, err := closure.RDFSClCtx(ctx, c.g)
 			if err != nil {

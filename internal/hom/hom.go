@@ -35,12 +35,8 @@ func NewFinder(dst *graph.Graph) *Finder {
 
 // Find returns a map μ with μ(src) ⊆ dst, if one exists.
 func (f *Finder) Find(src *graph.Graph) (graph.Map, bool) {
-	solver := match.NewSolver(f.ix, match.Options{IsUnknown: blankUnknown})
-	b, ok, _ := solver.First(src.Triples())
-	if !ok {
-		return nil, false
-	}
-	return bindingToMap(b, f.d), true
+	m, ok, _ := f.FindCtx(context.Background(), src)
+	return m, ok
 }
 
 // FindCtx is Find under a context: the backtracking search polls ctx
@@ -133,70 +129,31 @@ func IsProperInstanceMap(g *graph.Graph, m graph.Map) bool {
 // the existence of a blank-renaming bijection carrying G1 exactly onto
 // G2, which is what is searched for here.
 func Isomorphic(g1, g2 *graph.Graph) bool {
-	if g1.Len() != g2.Len() {
-		return false
-	}
-	b1 := g1.BlankNodeList()
-	b2 := g2.BlankNodeList()
-	if len(b1) != len(b2) {
-		return false
-	}
-	if len(b1) == 0 {
-		return g1.Equal(g2)
-	}
-	// Ground triples must coincide exactly: a blank-to-blank bijection
-	// cannot move them.
-	if !g1.GroundPart().Equal(g2.GroundPart()) {
-		return false
-	}
-	blankSet2 := g2.BlankIDs()
-	opts := match.Options{
-		IsUnknown: blankUnknown,
-		Injective: true,
-		Admissible: func(_, value dict.ID) bool {
-			_, ok := blankSet2[value]
-			return ok
-		},
-	}
-	found := false
-	match.Solve(g1.Triples(), g2, opts, func(b match.Binding) bool {
-		// The binding is an injective blank(G1) → blank(G2) assignment
-		// with μ(G1) ⊆ G2; equal sizes and injectivity force μ(G1) = G2.
-		m := bindingToMap(b, g2.Dict())
-		if m.Apply(g1).Equal(g2) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+	_, ok := FindIsomorphism(g1, g2)
+	return ok
 }
 
 // FindIsomorphism returns a blank-bijection witnessing G1 ≅ G2, if any.
 func FindIsomorphism(g1, g2 *graph.Graph) (graph.Map, bool) {
-	if g1.Len() != g2.Len() || len(g1.BlankNodes()) != len(g2.BlankNodes()) {
+	n := len(g1.BlankIDs())
+	if g1.Len() != g2.Len() || n != len(g2.BlankIDs()) {
 		return nil, false
 	}
+	if n == 0 { // no blanks: the identity, if anything
+		if !g1.Equal(g2) {
+			return nil, false
+		}
+		return graph.Map{}, true
+	}
+	// Ground triples must coincide exactly: a blank-to-blank bijection
+	// cannot move them.
 	if !g1.GroundPart().Equal(g2.GroundPart()) {
 		return nil, false
 	}
-	blankSet2 := g2.BlankIDs()
-	opts := match.Options{
-		IsUnknown: blankUnknown,
-		Injective: true,
-		Admissible: func(_, value dict.ID) bool {
-			_, ok := blankSet2[value]
-			return ok
-		},
-	}
 	var iso graph.Map
-	match.Solve(g1.Triples(), g2, opts, func(b match.Binding) bool {
-		m := bindingToMap(b, g2.Dict())
-		if m.Apply(g1).Equal(g2) {
-			iso = m
-			return false
-		}
-		return true
+	bijections(g1, g2, func(m graph.Map) bool {
+		iso = m
+		return false
 	})
 	return iso, iso != nil
 }
@@ -204,7 +161,19 @@ func FindIsomorphism(g1, g2 *graph.Graph) (graph.Map, bool) {
 // Automorphisms returns the blank-renaming bijections g → g (limit 0 = no
 // limit). The identity is always included.
 func Automorphisms(g *graph.Graph, limit int) []graph.Map {
-	blanks := g.BlankIDs()
+	var out []graph.Map
+	bijections(g, g, func(m graph.Map) bool {
+		out = append(out, m)
+		return limit == 0 || len(out) < limit
+	})
+	return out
+}
+
+// bijections yields the blank renamings μ with μ(g1) = g2 until yield
+// returns false. The search is for injective blank(g1) → blank(g2)
+// assignments with μ(g1) ⊆ g2; equality is checked per candidate.
+func bijections(g1, g2 *graph.Graph, yield func(graph.Map) bool) {
+	blanks := g2.BlankIDs()
 	opts := match.Options{
 		IsUnknown: blankUnknown,
 		Injective: true,
@@ -213,16 +182,8 @@ func Automorphisms(g *graph.Graph, limit int) []graph.Map {
 			return ok
 		},
 	}
-	var out []graph.Map
-	match.Solve(g.Triples(), g, opts, func(b match.Binding) bool {
-		m := bindingToMap(b, g.Dict())
-		if m.Apply(g).Equal(g) {
-			out = append(out, m)
-			if limit != 0 && len(out) >= limit {
-				return false
-			}
-		}
-		return true
+	match.Solve(g1.Triples(), g2, opts, func(b match.Binding) bool {
+		m := bindingToMap(b, g2.Dict())
+		return !m.Apply(g1).Equal(g2) || yield(m)
 	})
-	return out
 }

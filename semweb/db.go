@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"semwebdb/internal/canon"
 	"semwebdb/internal/closure"
-	"semwebdb/internal/core"
 	"semwebdb/internal/dict"
 	"semwebdb/internal/entail"
 	"semwebdb/internal/graph"
@@ -28,13 +28,14 @@ import (
 // are interned to integer IDs once, at load time, and the engine layers
 // compare IDs from then on — strings reappear only when answers are
 // rendered. Only mutations (Load*, Add, AddGraph) intern into that
-// dictionary. Read operations — Eval, Entails, Closure, NormalForm,
-// Fingerprint, Infers and the rest — run against scratch overlays
-// (dict.Scratch): query pattern terms, variables, per-matching Skolem
-// blanks, premise merges and saturation vocabulary land in a
-// copy-on-write layer that dies with the evaluation, so Stats'
-// DictTerms is unchanged by any amount of query traffic and a
-// long-lived server's snapshots do not grow with it.
+// dictionary. Read operations run against scratch overlays
+// (dict.Scratch): pattern terms, variables, Skolem blanks, premise
+// merges and saturation vocabulary land in a copy-on-write layer, so
+// Stats' DictTerms is unchanged by any amount of query traffic.
+//
+// Eval, Stream and the paper operations (Entails, Equivalent, Infers,
+// Closure, NormalForm, Fingerprint) share one prepared universe per
+// snapshot, cl(D) or nf(D), kept current by delta maintenance.
 //
 // The dictionary can still outgrow the live data: batches rejected
 // part-way intern their prefix, Graph() copies share the dictionary
@@ -62,13 +63,12 @@ type DB struct {
 	// publish. Lock order: commitMu before mu, always.
 	commitMu sync.Mutex
 	mu       sync.RWMutex
-	dict     *dict.Dict          // shared across all snapshots; internally synchronized
-	g        *graph.Graph        // guarded by mu; current snapshot; treated as immutable
-	mem      *closure.Membership // guarded by mu; lazy closure-membership index for g
-	eng      *persist.Engine     // set at open, immutable after; nil for purely in-memory databases
-	ro       *persist.Stats      // set at open, immutable after; read-only open: frozen on-disk stats
-	replica  *replica            // set at open, immutable after; non-nil on a read replica (FollowAt)
-	closed   bool                // guarded by mu
+	dict     *dict.Dict      // shared across all snapshots; internally synchronized
+	g        *graph.Graph    // guarded by mu; current snapshot; treated as immutable
+	eng      *persist.Engine // set at open, immutable after; nil for purely in-memory databases
+	ro       *persist.Stats  // set at open, immutable after; read-only open: frozen on-disk stats
+	replica  *replica        // set at open, immutable after; non-nil on a read replica (FollowAt)
+	closed   bool            // guarded by mu
 
 	// prepared caches, per skip-normal-form flag, the premise-free
 	// matching universe (nf(D) or cl(D)) for the snapshot preparedFor
@@ -79,9 +79,9 @@ type DB struct {
 	// redo the closure saturation and the coNP-hard core retraction
 	// nor re-sort the scan indexes.
 	//
-	// Since PR 7 a mutation no longer discards the cache outright:
-	// when the cached snapshot and the inserted batch are both ground,
-	// the batch is queued in pending and the next query folds it in by
+	// A mutation does not discard the cache outright: when the cached
+	// snapshot and the inserted batch are both ground, the batch is
+	// queued in pending and the next reader of the cache folds it in by
 	// semi-naive delta saturation (closure.Maintainer), publishing a
 	// fresh extended graph/index pair — readers streaming from the old
 	// state are never disturbed. Groundness is what makes this sound
@@ -351,7 +351,6 @@ func (db *DB) addGraphs(adds []*graph.Graph) error {
 	}
 	db.mu.Lock()
 	db.g = next
-	db.mem = nil
 	db.noteInsertLocked(fresh)
 	db.mu.Unlock()
 	return nil
@@ -406,8 +405,9 @@ func groundBatch(d *dict.Dict, ts []dict.Triple3) bool {
 // preparedData returns the cached premise-free matching universe and
 // match index for the snapshot g, computing (or incrementally
 // extending) and caching both on first use. It is where plan gets the
-// universe of every premise-free Eval and Stream; premised queries
-// build theirs per query with query.Universe instead.
+// universe of every premise-free Eval and Stream, and universe that of
+// every paper operation; premised queries build theirs per query with
+// query.Universe instead.
 //
 // The universe is prepared over a scratch overlay of the shared
 // dictionary: the skolem constants and vocabulary the saturation
@@ -772,8 +772,8 @@ func shouldAutoCompact(g *graph.Graph) bool {
 //
 // Readers are never blocked: evaluations in flight keep their old
 // snapshot (and its dictionary) and drain naturally; only the O(1)
-// publish of the rebuilt state takes the write lock. Prepared-universe
-// and inference caches are rebuilt lazily on the next read.
+// publish of the rebuilt state takes the write lock. The prepared
+// universe is rebuilt lazily on the next read.
 func (db *DB) Compact() error {
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
@@ -803,19 +803,24 @@ func (db *DB) compactLocked(g *graph.Graph, trigger *obs.Counter) error {
 			return fmt.Errorf("semweb: compacting: %w", err)
 		}
 	}
+	db.resetLocked(ng.Dict(), ng)
+	trigger.Inc()
+	return nil
+}
+
+// resetLocked publishes g, encoded against the new dictionary d, for
+// Compact and a replica's re-bootstrap (caller holds commitMu). Every
+// cached ID is invalid then, so the prepared cache is dropped and
+// counted as a compaction fallback.
+func (db *DB) resetLocked(d *dict.Dict, g *graph.Graph) {
 	db.mu.Lock()
-	db.dict = ng.Dict()
-	db.g = ng
-	db.mem = nil
-	// The dense renumbering invalidates every cached ID, pending queue
-	// entries included; incremental maintenance cannot survive it.
+	defer db.mu.Unlock()
+	db.dict = d
+	db.g = g
 	if db.prepared != nil {
 		db.prepStats.fbCompact.Add(1)
 	}
 	db.dropPreparedLocked()
-	db.mu.Unlock()
-	trigger.Inc()
-	return nil
 }
 
 // Close flushes and closes the write-ahead log of a durable database
@@ -899,7 +904,8 @@ type Stats struct {
 
 	// PreparedFull counts matching-universe preparations computed from
 	// scratch (closure saturation plus, unless skipped, the
-	// normal-form retraction) since the database was opened.
+	// normal-form retraction) since the database was opened, whether
+	// a query or a paper operation (Entails, Infers, ...) asked first.
 	PreparedFull uint64 `json:"prepared_full"`
 	// PreparedDelta counts incremental maintenance passes: pending
 	// insert batches folded into the cached prepared universe by
@@ -986,26 +992,11 @@ func (db *DB) Stats() Stats {
 // Has reports whether the triple is asserted (syntactic membership).
 func (db *DB) Has(t Triple) bool { return db.snapshot().Has(t) }
 
-// Infers reports whether t ∈ cl(D) — semantic membership, decided
-// without materializing the closure (Theorem 3.6(4)). The underlying
-// reachability index is cached until the next mutation.
+// Infers reports whether t ∈ cl(D): a lookup of t in the prepared cl(D),
+// interning nothing. Ill-formed triples and unknown terms give false.
 func (db *DB) Infers(t Triple) bool {
-	db.mu.RLock()
-	mem := db.mem
-	g := db.g
-	db.mu.RUnlock()
-	if mem == nil {
-		// Built over a scratch overlay: the fallback path materializes
-		// the closure, whose derived terms must not grow the shared
-		// dictionary. The overlay lives as long as the cached index.
-		mem = closure.NewMembership(scratchView(g))
-		db.mu.Lock()
-		if db.g == g { // only cache if no mutation slipped in
-			db.mem = mem
-		}
-		db.mu.Unlock()
-	}
-	return mem.Contains(t)
+	st, err := db.universe(context.TODO(), db.snapshot(), false)
+	return err == nil && st.data.Has(t)
 }
 
 // Eval evaluates q against the database (Definition 4.3): the body is
@@ -1094,12 +1085,50 @@ func (p *queryPlan) observe(rows int, truncated bool) {
 	}
 }
 
-// Entails reports D ⊨ h. The closure saturation behind the decision
-// runs over a scratch overlay, leaving the database dictionary
-// unchanged.
+// universe returns the cached prepared state whose triple set is nf(D)
+// or cl(D) for the snapshot g: the universe Eval matches against, and
+// the only source of cl(D)/nf(D) for the paper operations. A ground
+// graph is its own core, so on a ground snapshot both are the state for
+// the default flag; otherwise cl(D) is the skipNF state, so cl-only
+// operations never compute a core. A dead ctx fails even on a hit.
+func (db *DB) universe(ctx context.Context, g *graph.Graph, nf bool) (*preparedState, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, wrapEngineError(err)
+	}
+	db.mu.RLock()
+	known, ground := db.preparedFor == g, db.preparedGround
+	db.mu.RUnlock()
+	if !known {
+		ground = g.IsGround()
+	}
+	skipNF := !nf
+	if ground {
+		skipNF = db.cfg.skipNormalForm
+	}
+	st, _, err := db.preparedData(ctx, g, skipNF)
+	return st, wrapEngineError(err)
+}
+
+// Entails reports D ⊨ h: whether h, blank nodes as unknowns, maps into
+// the prepared cl(D) (Theorem 2.8). h's terms are interned into a
+// scratch overlay.
 func (db *DB) Entails(ctx context.Context, h *Graph) (bool, error) {
-	ok, err := entail.EntailsCtx(ctx, scratchView(db.snapshot()), h)
-	return ok, wrapEngineError(err)
+	return db.entails(ctx, db.snapshot(), h)
+}
+
+// entails is Entails against the snapshot g.
+func (db *DB) entails(ctx context.Context, g *graph.Graph, h *Graph) (bool, error) {
+	st, err := db.universe(ctx, g, false)
+	if err != nil {
+		return false, err
+	}
+	s := match.NewSolver(st.ix, match.Options{
+		IsUnknown: Term.IsBlank,
+		Dict:      st.ix.Dict().Scratch(),
+		Ctx:       ctx,
+	})
+	_, ok, _ := s.First(h.Triples())
+	return ok, wrapEngineError(s.Err())
 }
 
 // Prove decides D ⊨ h and returns a checked derivation when it holds.
@@ -1107,18 +1136,22 @@ func (db *DB) Prove(h *Graph) (*Proof, bool) {
 	return Prove(scratchView(db.snapshot()), h)
 }
 
-// Equivalent reports D ≡ h.
+// Equivalent reports D ≡ h: Entails, then h ⊨ D over a scratch overlay
+// of h's dictionary, so h gains no terms from D or from cl(h).
 func (db *DB) Equivalent(ctx context.Context, h *Graph) (bool, error) {
-	ok, err := entail.EquivalentCtx(ctx, scratchView(db.snapshot()), h)
+	g := db.snapshot()
+	if ok, err := db.entails(ctx, g, h); !ok || err != nil {
+		return false, err
+	}
+	ok, err := entail.EntailsCtx(ctx, scratchView(h), g)
 	return ok, wrapEngineError(err)
 }
 
-// Closure returns cl(D). The result's dictionary is a scratch overlay
-// over the database's, so materializing the closure does not grow the
-// shared dictionary.
+// Closure returns cl(D): an independent copy of the prepared cl(D) on a
+// fresh scratch overlay. Writes to it reach neither the database nor
+// its cached universe.
 func (db *DB) Closure(ctx context.Context) (*Graph, error) {
-	cl, err := closure.ClCtx(ctx, scratchView(db.snapshot()))
-	return cl, wrapEngineError(err)
+	return db.universeCopy(ctx, false)
 }
 
 // Core returns core(D).
@@ -1126,11 +1159,19 @@ func (db *DB) Core(ctx context.Context) (*Graph, error) {
 	return CoreOf(ctx, db.snapshot())
 }
 
-// NormalForm returns nf(D) = core(cl(D)). Like Closure, the result
-// lives on a scratch overlay.
+// NormalForm returns nf(D) = core(cl(D)), copied from the prepared
+// universe like Closure.
 func (db *DB) NormalForm(ctx context.Context) (*Graph, error) {
-	nf, err := core.NormalFormCtx(ctx, scratchView(db.snapshot()))
-	return nf, wrapEngineError(err)
+	return db.universeCopy(ctx, true)
+}
+
+// universeCopy is Closure (nf false) and NormalForm (nf true).
+func (db *DB) universeCopy(ctx context.Context, nf bool) (*Graph, error) {
+	st, err := db.universe(ctx, db.snapshot(), nf)
+	if err != nil {
+		return nil, err
+	}
+	return scratchView(st.data).Clone(), nil
 }
 
 // MinimalRepresentation returns the unique minimal representation of D
@@ -1145,10 +1186,14 @@ func (db *DB) MinimalRepresentation() (*Graph, error) {
 // interned into the shared dictionary.
 func (db *DB) Canonical() *Graph { return Canonicalize(scratchView(db.snapshot())) }
 
-// Fingerprint returns the equivalence certificate of D.
+// Fingerprint returns the equivalence certificate of D: the canonical
+// serialization of the prepared nf(D).
 func (db *DB) Fingerprint(ctx context.Context) (string, error) {
-	fp, err := core.FingerprintCtx(ctx, scratchView(db.snapshot()))
-	return fp, wrapEngineError(err)
+	st, err := db.universe(ctx, db.snapshot(), true)
+	if err != nil {
+		return "", err
+	}
+	return canon.String(scratchView(st.data)), nil
 }
 
 // IsLean reports whether D is lean.

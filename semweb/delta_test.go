@@ -351,7 +351,8 @@ func TestDeltaFallbacks(t *testing.T) {
 }
 
 // TestDeltaConcurrentAddEvalStream hammers one database with
-// concurrent ground inserts, premise-free Evals and Streams — meant to
+// concurrent ground inserts, premise-free Evals and Streams and paper
+// operations (Infers, Entails, Closure) — meant to
 // run under the race detector (`make test-race`). Every operation must
 // succeed, and the final state must equal a fresh preparation.
 func TestDeltaConcurrentAddEvalStream(t *testing.T) {
@@ -418,6 +419,22 @@ func TestDeltaConcurrentAddEvalStream(t *testing.T) {
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() { // paper operations read and extend the same cache
+		defer wg.Done()
+		h := NewGraph(T(Blank("x"), Type, seed.cls(1)))
+		for i := 0; i < 10; i++ {
+			db.Infers(T(seed.node(i), Type, seed.cls(i)))
+			if _, err := db.Entails(ctx, h); err != nil {
+				errs <- err
+				return
+			}
+			if _, err := db.Closure(ctx); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
 	wg.Wait()
 	close(errs)
 	for err := range errs {

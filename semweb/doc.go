@@ -36,9 +36,10 @@
 //	ans, err := db.Eval(ctx, q)
 //
 // RDFS closure saturation — the engine behind Eval's matching-universe
-// preparation, Closure, Entails, NormalForm, Fingerprint and Infers —
-// is one semi-naive fixpoint computation per request, shared with the
-// incremental maintenance that folds inserts into cached universes.
+// preparation — is one semi-naive fixpoint computation, shared with the
+// incremental maintenance that folds inserts into the cached universe.
+// Closure, Entails, Equivalent, NormalForm, Fingerprint and Infers read
+// that same cached cl(D)/nf(D), so they saturate nothing once it is warm.
 // See ARCHITECTURE.md for the engine and the repository-wide
 // concurrency model.
 //

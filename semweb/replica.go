@@ -86,17 +86,7 @@ func (r *replica) Reset(d *dict.Dict, g *graph.Graph) {
 	db := r.db
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
-	db.mu.Lock()
-	db.dict = d
-	db.g = g
-	db.mem = nil
-	// The new dictionary invalidates every cached ID, exactly like a
-	// Compact does on a leader.
-	if db.prepared != nil {
-		db.prepStats.fbCompact.Add(1)
-	}
-	db.dropPreparedLocked()
-	db.mu.Unlock()
+	db.resetLocked(d, g)
 }
 
 // Publish implements repl.Sink.
@@ -106,7 +96,6 @@ func (r *replica) Publish(g *graph.Graph, fresh []dict.Triple3) {
 	defer db.commitMu.Unlock()
 	db.mu.Lock()
 	db.g = g
-	db.mem = nil
 	db.noteInsertLocked(fresh)
 	db.mu.Unlock()
 }
