@@ -98,9 +98,9 @@ bench-gate:
 		| $(GO) run ./cmd/benchjson > bench_fresh.json
 	$(GO) run ./cmd/benchjson -compare $(BENCH_GATE_FLAGS) $(BENCH_BASELINE) bench_fresh.json
 
-# Short fuzz pass over the parsers and the storage codecs (native Go
-# fuzzing; seeds under internal/*/testdata/fuzz are always exercised by
-# plain `make test`).
+# Short fuzz pass over the parsers, the storage codecs and the
+# differential delta-closure target (native Go fuzzing; seeds under
+# internal/*/testdata/fuzz are always exercised by plain `make test`).
 fuzz:
 	$(GO) test -fuzz 'FuzzParse$$' -fuzztime 30s ./internal/ntriples/
 	$(GO) test -fuzz FuzzParseLine -fuzztime 15s ./internal/ntriples/
@@ -108,6 +108,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeSnapshot -fuzztime 30s ./internal/persist/
 	$(GO) test -fuzz FuzzReplayWAL -fuzztime 30s ./internal/persist/
 	$(GO) test -fuzz FuzzReplStream -fuzztime 30s ./internal/repl/
+	$(GO) test -fuzz FuzzDeltaClosure -fuzztime 30s ./internal/closure/
 
 # Run every example program (living API documentation).
 examples:

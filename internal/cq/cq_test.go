@@ -1,59 +1,17 @@
 package cq
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"semwebdb/internal/graph"
 	"semwebdb/internal/hom"
+	"semwebdb/internal/match"
 	"semwebdb/internal/term"
 )
 
 func iri(s string) term.Term { return term.NewIRI(s) }
 func blk(s string) term.Term { return term.NewBlank(s) }
-
-func TestFromGraphCorrespondence(t *testing.T) {
-	g := graph.New(
-		graph.T(iri("a"), iri("p"), blk("x")),
-		graph.T(blk("x"), iri("q"), iri("b")),
-	)
-	q := FromGraphQuery(g)
-	if len(q.Atoms) != 2 {
-		t.Fatalf("atoms = %d, want 2", len(q.Atoms))
-	}
-	d := FromGraphDatabase(g)
-	if len(d.Relations) != 2 {
-		t.Fatalf("relations = %d, want 2", len(d.Relations))
-	}
-	if len(d.Relations["R_p"]) != 1 {
-		t.Fatalf("R_p = %v", d.Relations["R_p"])
-	}
-}
-
-func TestEntailsViaCQMatchesHomomorphism(t *testing.T) {
-	// Section 2.4: D_{G1} ⊨ Q_{G2} iff G1 ⊨ G2 for simple graphs.
-	rng := rand.New(rand.NewSource(3))
-	names := []term.Term{iri("a"), iri("b"), blk("x"), blk("y"), blk("z")}
-	preds := []term.Term{iri("p"), iri("q")}
-	for round := 0; round < 60; round++ {
-		g1, g2 := graph.New(), graph.New()
-		for k := 0; k < 6; k++ {
-			g1.Add(graph.T(
-				names[rng.Intn(len(names))], preds[rng.Intn(len(preds))], names[rng.Intn(len(names))]))
-		}
-		for k := 0; k < 3; k++ {
-			g2.Add(graph.T(
-				names[rng.Intn(len(names))], preds[rng.Intn(len(preds))], names[rng.Intn(len(names))]))
-		}
-		want := hom.ExistsMap(g2, g1)
-		got := EntailsViaCQ(g1, g2)
-		if got != want {
-			t.Fatalf("round %d: CQ path (%v) disagrees with hom path (%v)\nG1:\n%v\nG2:\n%v",
-				round, got, want, g1, g2)
-		}
-	}
-}
 
 func TestBlankCycleFree(t *testing.T) {
 	chain := graph.New(
@@ -101,111 +59,126 @@ func TestBlankCycleFree(t *testing.T) {
 }
 
 func TestGYOAcyclicity(t *testing.T) {
-	// Path query: acyclic.
-	path := BCQ{Atoms: []Atom{
-		{Rel: "R", Args: []Arg{V("x"), V("y")}},
-		{Rel: "R", Args: []Arg{V("y"), V("z")}},
-	}}
-	if !IsAcyclic(path) {
-		t.Error("path misclassified as cyclic")
+	p, q := iri("p"), iri("q")
+	cases := []struct {
+		name string
+		body []graph.Triple
+		want bool
+	}{
+		{"path", []graph.Triple{graph.T(blk("x"), p, blk("y")), graph.T(blk("y"), p, blk("z"))}, true},
+		{"triangle", []graph.Triple{
+			graph.T(blk("x"), p, blk("y")), graph.T(blk("y"), p, blk("z")), graph.T(blk("z"), p, blk("x")),
+		}, false},
+		// Parallel patterns: one hyperedge contains the other (an ear).
+		{"parallel edges", []graph.Triple{
+			graph.T(blk("x"), p, blk("y")), graph.T(blk("x"), q, blk("y")), graph.T(blk("y"), p, blk("x")),
+		}, true},
+		// A repeated blank is a one-element hyperedge.
+		{"self loop on a path", []graph.Triple{graph.T(blk("x"), p, blk("x")), graph.T(blk("x"), p, blk("y"))}, true},
+		{"empty body", nil, true},
 	}
-	// Triangle: cyclic.
-	tri := BCQ{Atoms: []Atom{
-		{Rel: "R", Args: []Arg{V("x"), V("y")}},
-		{Rel: "R", Args: []Arg{V("y"), V("z")}},
-		{Rel: "R", Args: []Arg{V("z"), V("x")}},
-	}}
-	if IsAcyclic(tri) {
-		t.Error("triangle misclassified as acyclic")
-	}
-	// Two parallel atoms: acyclic (ear containment).
-	par := BCQ{Atoms: []Atom{
-		{Rel: "R", Args: []Arg{V("x"), V("y")}},
-		{Rel: "S", Args: []Arg{V("x"), V("y")}},
-	}}
-	if !IsAcyclic(par) {
-		t.Error("parallel atoms misclassified")
-	}
-	// A ternary atom covering a binary one: acyclic.
-	tern := BCQ{Atoms: []Atom{
-		{Rel: "T", Args: []Arg{V("x"), V("y"), V("z")}},
-		{Rel: "R", Args: []Arg{V("x"), V("z")}},
-	}}
-	if !IsAcyclic(tern) {
-		t.Error("covered binary atom misclassified")
-	}
-	// Empty query: acyclic.
-	if !IsAcyclic(BCQ{}) {
-		t.Error("empty query misclassified")
+	for _, c := range cases {
+		jt, ok := GYO(c.body)
+		if ok != c.want || IsAcyclic(c.body) != c.want {
+			t.Errorf("%s: acyclic = %v, want %v", c.name, ok, c.want)
+			continue
+		}
+		if ok && len(jt.Order) != len(c.body) {
+			t.Errorf("%s: join tree orders %d of %d patterns", c.name, len(jt.Order), len(c.body))
+		}
 	}
 }
 
+// randomBody draws a blank-cycle-free body over constants of the data,
+// a constant absent from it, and blanks that may repeat inside one
+// triple or form disconnected components.
+func randomBody(rng *rand.Rand) *graph.Graph {
+	names := []term.Term{iri("a"), iri("b"), iri("absent"), blk("x"), blk("y"), blk("z"), blk("w"), blk("x")}
+	preds := []term.Term{iri("p"), iri("q"), iri("p"), iri("q"), iri("p"), iri("q"), iri("nopred")}
+	for {
+		g := graph.New()
+		for k := 0; k < 1+rng.Intn(5); k++ {
+			g.Add(graph.T(names[rng.Intn(len(names))], preds[rng.Intn(len(preds))], names[rng.Intn(len(names))]))
+		}
+		if BlankCycleFree(g) {
+			return g
+		}
+	}
+}
+
+func randomData(rng *rand.Rand) *graph.Graph {
+	names := []term.Term{iri("a"), iri("b"), iri("c"), blk("d1"), blk("d2")}
+	preds := []term.Term{iri("p"), iri("q")}
+	g := graph.New()
+	for k := 0; k < 3+rng.Intn(8); k++ {
+		g.Add(graph.T(names[rng.Intn(len(names))], preds[rng.Intn(len(preds))], names[rng.Intn(len(names))]))
+	}
+	return g
+}
+
+// Section 2.4: for a blank-cycle-free body, Yannakakis over the index
+// decides exactly what the engine's backtracking map search decides.
 func TestYannakakisAgreesWithBacktracking(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for round := 0; round < 80; round++ {
-		// Random acyclic query: a random tree over variables.
-		nVars := 2 + rng.Intn(4)
-		var q BCQ
-		for i := 1; i < nVars; i++ {
-			parent := rng.Intn(i)
-			q.Atoms = append(q.Atoms, Atom{
-				Rel:  fmt.Sprintf("R%d", rng.Intn(2)),
-				Args: []Arg{V(fmt.Sprintf("v%d", parent)), V(fmt.Sprintf("v%d", i))},
-			})
-		}
-		// Random database.
-		d := NewDatabase()
-		for r := 0; r < 2; r++ {
-			for k := 0; k < 3+rng.Intn(5); k++ {
-				d.Add(fmt.Sprintf("R%d", r),
-					fmt.Sprintf("n%d", rng.Intn(4)),
-					fmt.Sprintf("n%d", rng.Intn(4)))
-			}
-		}
-		want := EvaluateBacktrack(q, d)
-		got, err := EvaluateYannakakis(q, d)
+	yes := 0
+	for round := 0; round < 1200; round++ {
+		data, body := randomData(rng), randomBody(rng)
+		ix := match.NewIndex(data)
+		before := ix.Dict().Len()
+		got, err := Yannakakis(ix, body)
 		if err != nil {
-			t.Fatalf("round %d: acyclic query rejected: %v\n%v", round, err, q)
+			t.Fatalf("round %d: blank-cycle-free body rejected: %v\n%v", round, err, body)
 		}
-		if got != want {
-			t.Fatalf("round %d: Yannakakis (%v) vs backtracking (%v)\nQ: %v\nD: %v",
-				round, got, want, q, d.Relations)
+		if after := ix.Dict().Len(); after != before {
+			t.Fatalf("round %d: Yannakakis grew the dictionary %d -> %d", round, before, after)
 		}
+		// ExistsMap interns the body into the data dictionary, so it runs
+		// after the length check.
+		if want := hom.ExistsMap(body, data); got != want {
+			t.Fatalf("round %d: Yannakakis (%v) disagrees with the map search (%v)\nbody:\n%v\ndata:\n%v",
+				round, got, want, body, data)
+		}
+		if got {
+			yes++
+		}
+	}
+	if yes < 100 || yes > 1100 {
+		t.Fatalf("unbalanced workload: %d of 1200 bodies map into their data", yes)
 	}
 }
 
 func TestYannakakisRejectsCyclic(t *testing.T) {
-	tri := BCQ{Atoms: []Atom{
-		{Rel: "R", Args: []Arg{V("x"), V("y")}},
-		{Rel: "R", Args: []Arg{V("y"), V("z")}},
-		{Rel: "R", Args: []Arg{V("z"), V("x")}},
-	}}
-	if _, err := EvaluateYannakakis(tri, NewDatabase()); err == nil {
-		t.Fatal("cyclic query accepted")
+	tri := graph.New(
+		graph.T(blk("x"), iri("p"), blk("y")),
+		graph.T(blk("y"), iri("p"), blk("z")),
+		graph.T(blk("z"), iri("p"), blk("x")),
+	)
+	if _, err := Yannakakis(match.NewIndex(graph.New()), tri); err == nil {
+		t.Fatal("cyclic body accepted")
 	}
 }
 
 func TestYannakakisWithConstantsAndRepeats(t *testing.T) {
-	q := BCQ{Atoms: []Atom{
-		{Rel: "R", Args: []Arg{C("a"), V("x")}},
-		{Rel: "S", Args: []Arg{V("x"), V("x")}},
-	}}
-	d := NewDatabase()
-	d.Add("R", "a", "1")
-	d.Add("R", "b", "2")
-	d.Add("S", "1", "1")
-	d.Add("S", "2", "3")
-	got, err := EvaluateYannakakis(q, d)
-	if err != nil || !got {
+	body := graph.New(
+		graph.T(iri("a"), iri("r"), blk("x")),
+		graph.T(blk("x"), iri("s"), blk("x")),
+	)
+	data := graph.New(
+		graph.T(iri("a"), iri("r"), iri("1")),
+		graph.T(iri("b"), iri("r"), iri("2")),
+		graph.T(iri("1"), iri("s"), iri("1")),
+		graph.T(iri("2"), iri("s"), iri("3")),
+	)
+	if got, err := Yannakakis(match.NewIndex(data), body); err != nil || !got {
 		t.Fatalf("got=%v err=%v, want true", got, err)
 	}
-	// Remove the matching S loop: now false.
-	d2 := NewDatabase()
-	d2.Add("R", "a", "1")
-	d2.Add("S", "2", "2")
-	got2, err := EvaluateYannakakis(q, d2)
-	if err != nil || got2 {
-		t.Fatalf("got=%v err=%v, want false", got2, err)
+	// Without the matching s-loop: false.
+	data2 := graph.New(
+		graph.T(iri("a"), iri("r"), iri("1")),
+		graph.T(iri("2"), iri("s"), iri("2")),
+	)
+	if got, err := Yannakakis(match.NewIndex(data2), body); err != nil || got {
+		t.Fatalf("got=%v err=%v, want false", got, err)
 	}
 }
 
@@ -224,10 +197,14 @@ func TestThreeSATEncoding(t *testing.T) {
 		{ThreeSATInstance{2, [][3]int{
 			{1, 1, 2}, {1, 1, -2}, {-1, -1, 2}, {-1, -1, -2},
 		}}, false},
+		// A tautological clause repeating its variable, then ¬x1 forced.
+		{ThreeSATInstance{1, [][3]int{{1, 1, -1}, {-1, -1, -1}}}, true},
+		// Only negative occurrences: the neg pattern still ties ?n1 to ?x1.
+		{ThreeSATInstance{2, [][3]int{{-1, -1, -2}, {-1, 2, 2}, {-2, -2, 1}}}, true},
 	}
 	for i, c := range cases {
 		if got := c.f.Satisfiable(); got != c.want {
-			t.Errorf("case %d: CQ-encoding says %v, want %v", i, got, c.want)
+			t.Errorf("case %d: solver says %v, want %v", i, got, c.want)
 		}
 		if got := c.f.SatisfiableBruteForce(); got != c.want {
 			t.Errorf("case %d: brute force says %v, want %v", i, got, c.want)
@@ -237,9 +214,11 @@ func TestThreeSATEncoding(t *testing.T) {
 
 func TestThreeSATRandomAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for round := 0; round < 60; round++ {
-		n := 3 + rng.Intn(5)
-		m := 2 + rng.Intn(3*n)
+	sat := 0
+	for round := 0; round < 300; round++ {
+		// Few variables, so clauses often repeat one (x1 ∨ x1 ∨ ¬x1).
+		n := 1 + rng.Intn(7)
+		m := 1 + rng.Intn(8*n+2)
 		f := ThreeSATInstance{NumVars: n}
 		for k := 0; k < m; k++ {
 			var cl [3]int
@@ -251,19 +230,15 @@ func TestThreeSATRandomAgreement(t *testing.T) {
 			}
 			f.Clauses = append(f.Clauses, cl)
 		}
-		if f.Satisfiable() != f.SatisfiableBruteForce() {
-			t.Fatalf("round %d: encodings disagree on %v", round, f)
+		want := f.SatisfiableBruteForce()
+		if f.Satisfiable() != want {
+			t.Fatalf("round %d: solver disagrees with brute force (%v) on %v", round, want, f)
+		}
+		if want {
+			sat++
 		}
 	}
-}
-
-func TestArgAndAtomString(t *testing.T) {
-	a := Atom{Rel: "R", Args: []Arg{V("x"), C("c")}}
-	if a.String() != "R(?x, c)" {
-		t.Fatalf("atom string = %q", a.String())
-	}
-	q := BCQ{Atoms: []Atom{a, a}}
-	if q.String() != "R(?x, c) ∧ R(?x, c)" {
-		t.Fatalf("query string = %q", q.String())
+	if sat < 30 || sat > 270 {
+		t.Fatalf("unbalanced workload: %d of 300 instances satisfiable", sat)
 	}
 }

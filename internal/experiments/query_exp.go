@@ -23,12 +23,15 @@ func init() {
 		Claim: "emptiness is NP-complete in the query (3SAT) and polynomial in the data (fixed query)",
 		Run: func(w io.Writer, cfg Config) error {
 			fmt.Fprintln(w, "-- query complexity: random 3SAT at clause ratio 4.3 --")
-			tbl := newTable(w, "vars", "clauses", "sat", "CQ eval time")
+			tbl := newTable(w, "vars", "clauses", "sat", "solver time")
 			for _, n := range pick(cfg, []int{6, 10}, []int{8, 12, 16, 20}) {
 				m := int(4.3 * float64(n))
 				f := cq.ThreeSATInstance{NumVars: n, Clauses: gen.Random3SAT(n, m, int64(n))}
 				var sat bool
 				d := timeIt(func() { sat = f.Satisfiable() })
+				if sat != f.SatisfiableBruteForce() {
+					return fmt.Errorf("3SAT vars=%d: the solver says sat=%v, brute force disagrees", n, sat)
+				}
 				tbl.row(n, m, checkmark(sat), d)
 			}
 			tbl.flush()
