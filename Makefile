@@ -9,7 +9,7 @@ BENCH_JSON ?= BENCH_pr10.json
 # The newest committed per-PR snapshot is the regression baseline.
 BENCH_BASELINE ?= $(shell ls BENCH_pr*.json 2>/dev/null | sort -V | tail -1)
 
-.PHONY: verify check fmt vet lint test test-race bench-e2e-test serve-smoke metrics-smoke repl-smoke bench bench-json bench-gate fuzz build examples
+.PHONY: verify check fmt vet lint test test-race test-stress bench-e2e-test serve-smoke metrics-smoke repl-smoke bench bench-json bench-gate fuzz build examples
 
 # Tier-1: must stay green (ROADMAP.md).
 verify: build test
@@ -26,6 +26,14 @@ test:
 # the replication follower loop all run here. CI runs this target.
 test-race:
 	$(GO) test -race -count=1 ./...
+
+# Repeated race-detector runs of the semweb concurrency tests: writers,
+# readers and paper operations racing the prepared cache, and cursors
+# closed mid-stream. Interleavings vary run to run, so -count=20 gives
+# the scheduler twenty chances to find what one pass misses. CI runs
+# this after test-race.
+test-stress:
+	$(GO) test -race -count=20 -run 'Concurrent|StreamClose' ./semweb/...
 
 # The benchmark harness is its own module (cmd/semwebbench/go.mod), so
 # `go build ./...` and `go test ./...` at the root never compile it;

@@ -2,8 +2,8 @@
 // closure: given an already-saturated base and a batch of inserted
 // triples, compute RDFS-cl(base ∪ batch) by semi-naive rounds in which
 // at least one premise of every rule firing comes from the delta —
-// never by re-saturating the base. The public entry points are the
-// one-shot DeltaRDFSCl / DeltaCl families and the reusable Maintainer.
+// never by re-saturating the base. The entry point is the reusable
+// Maintainer.
 //
 // Correctness rests on the base being a fixpoint of rules (2)–(13):
 // rule instantiations whose premises all lie in the base conclude only
@@ -15,11 +15,10 @@
 // vocabulary loops (p, sp, p) for p ∈ rdfsV are in every saturated
 // base already, so they need no re-bootstrapping.
 //
-// For cl (Definition 3.5) the fallback identity is that cl is a
-// closure operator — monotone and idempotent — hence
-// cl(cl(D) ∪ A) = cl(D ∪ A): whenever delta maintenance is unsound
-// (blank nodes make skolemization interact with the base), a full
-// saturation of the union gives the same answer.
+// On ground graphs skolemization is the identity, so maintaining
+// RDFS-cl maintains cl (Definition 3.5) too. With blank nodes in play
+// it does not, and callers re-saturate instead: cl is a closure
+// operator, so cl(cl(D) ∪ A) = cl(D ∪ A).
 
 package closure
 
@@ -92,65 +91,4 @@ func (m *Maintainer) Apply(ctx context.Context, batch []dict.Triple3) ([]dict.Tr
 	out := make([]dict.Triple3, len(e.journal))
 	copy(out, e.journal)
 	return out, nil
-}
-
-// DeltaRDFSCl returns RDFS-cl(base ∪ batch) for an already
-// RDFS-closed base, doing delta work only: the base is indexed but
-// never re-fired. Neither input graph is modified; the result shares
-// base's dictionary, and sorted permutations already built on base are
-// extended by merging the delta run rather than re-sorting
-// (graph.ExtendedByIDs).
-func DeltaRDFSCl(base, batch *graph.Graph) *graph.Graph {
-	out, _ := DeltaRDFSClCtx(context.Background(), base, batch)
-	return out
-}
-
-// DeltaRDFSClCtx is DeltaRDFSCl under a context (see RDFSClCtx).
-func DeltaRDFSClCtx(ctx context.Context, base, batch *graph.Graph) (*graph.Graph, error) {
-	m := NewMaintainer(base)
-	added, err := m.Apply(ctx, batchIDs(base, batch))
-	if err != nil {
-		return nil, err
-	}
-	return base.ExtendedByIDs(added), nil
-}
-
-// DeltaCl returns cl(base ∪ batch) for base = cl(D) of some graph D.
-// When both base and batch are ground — the common shape of loaded
-// databases — this is pure delta work; with blank nodes in play the
-// skolemization step of Definition 3.5 makes in-place maintenance
-// unsound, and the computation falls back to a full saturation of the
-// union, which is equal by the closure-operator identity
-// cl(cl(D) ∪ A) = cl(D ∪ A).
-func DeltaCl(base, batch *graph.Graph) *graph.Graph {
-	out, _ := DeltaClCtx(context.Background(), base, batch)
-	return out
-}
-
-// DeltaClCtx is DeltaCl under a context.
-func DeltaClCtx(ctx context.Context, base, batch *graph.Graph) (*graph.Graph, error) {
-	if base.IsGround() && batch.IsGround() {
-		return DeltaRDFSClCtx(ctx, base, batch)
-	}
-	return ClCtx(ctx, graph.Union(base, batch))
-}
-
-// batchIDs encodes the batch against base's dictionary. A batch
-// already sharing it is collected as-is; otherwise every term is
-// re-interned once.
-func batchIDs(base, batch *graph.Graph) []dict.Triple3 {
-	out := make([]dict.Triple3, 0, batch.Len())
-	if batch.Dict() == base.Dict() {
-		batch.EachID(func(t dict.Triple3) bool {
-			out = append(out, t)
-			return true
-		})
-		return out
-	}
-	d := base.Dict()
-	batch.Each(func(t graph.Triple) bool {
-		out = append(out, dict.Triple3{d.Intern(t.S), d.Intern(t.P), d.Intern(t.O)})
-		return true
-	})
-	return out
 }

@@ -35,7 +35,9 @@ import (
 //
 // Eval, Stream and the paper operations (Entails, Equivalent, Infers,
 // Closure, NormalForm, Fingerprint) share one prepared universe per
-// snapshot, cl(D) or nf(D), kept current by delta maintenance.
+// database, cl(D) or nf(D) — one and the same on a ground D — kept
+// current by delta maintenance. A premise-free read answers over the
+// snapshot that is current when its universe resolves.
 //
 // The dictionary can still outgrow the live data: batches rejected
 // part-way intern their prefix, Graph() copies share the dictionary
@@ -70,38 +72,32 @@ type DB struct {
 	replica  *replica        // set at open, immutable after; non-nil on a read replica (FollowAt)
 	closed   bool            // guarded by mu
 
-	// prepared caches, per skip-normal-form flag, the premise-free
-	// matching universe (nf(D) or cl(D)) for the snapshot preparedFor
-	// together with the match.Index view over it. Retaining the
-	// prepared graph is what keeps the matcher's lookup structures
-	// alive — the sorted SPO/POS/OSP permutations are built lazily on
-	// the graph itself and cached there — so repeated Evals neither
-	// redo the closure saturation and the coNP-hard core retraction
-	// nor re-sort the scan indexes.
+	// cl and nf cache the premise-free matching universes cl(D) and
+	// nf(D) of one snapshot together with the match.Index view over
+	// each. Retaining the prepared graph is what keeps the matcher's
+	// lookup structures alive — the sorted SPO/POS/OSP permutations are
+	// built lazily on the graph itself and cached there — so repeated
+	// reads neither redo the closure saturation and the coNP-hard core
+	// retraction nor re-sort the scan indexes.
 	//
-	// A mutation does not discard the cache outright: when the cached
-	// snapshot and the inserted batch are both ground, the batch is
-	// queued in pending and the next reader of the cache folds it in by
+	// A ground graph is its own core, so on a ground snapshot
+	// nf(D) = cl(D) and cl == nf: one saturation, one index, one
+	// maintainer. A mutation does not discard that state: a ground
+	// batch is queued in pending, and the next read folds it in by
 	// semi-naive delta saturation (closure.Maintainer), publishing a
 	// fresh extended graph/index pair — readers streaming from the old
-	// state are never disturbed. Groundness is what makes this sound
-	// for both universes at once: a ground graph has no proper
-	// retraction, so nf(D) = cl(D), and delta-maintaining the RDFS
-	// closure maintains them both. Anything else — blank nodes in the
-	// base or the batch, Compact's dictionary rebuild, a maintenance
-	// error — drops the cache and falls back to full re-preparation
+	// state are never disturbed. On a non-ground snapshot each state is
+	// filled on demand, and any mutation drops them. Blank nodes in the
+	// base or the batch, Compact's dictionary rebuild and a maintenance
+	// error all drop the cache and fall back to full re-preparation
 	// (counted per reason in Stats).
 	//
-	// Invariants (under mu): preparedFor is nil iff prepared is nil;
-	// pending is non-empty only when prepared is non-nil, holds
-	// triples absent from preparedFor in commit order, pairwise
-	// distinct, all ground, encoded against dict; preparedGround
-	// reports whether preparedFor is ground. The *contents* of the
-	// prepared map are only written while holding prepMu.
-	prepared       map[bool]*preparedState // guarded by mu (values' contents by prepMu)
-	preparedFor    *graph.Graph            // guarded by mu
-	preparedGround bool                    // guarded by mu
-	pending        []dict.Triple3          // guarded by mu
+	// Invariants (under mu): every non-nil state has the same base,
+	// and base ∪ pending == g; pending is non-empty only when
+	// cl == nf != nil, and holds triples absent from base in commit
+	// order, pairwise distinct, all ground, encoded against dict.
+	cl, nf  *preparedState // guarded by mu (a state's maintainer by prepMu)
+	pending []dict.Triple3 // guarded by mu
 
 	// prepMu serializes matching-universe computation — full prepares
 	// and delta maintenance alike — so concurrent first queries wait
@@ -114,11 +110,13 @@ type DB struct {
 	cfg config
 }
 
-// preparedState is one cached matching universe plus the (cheap,
-// reusable) match index view over it and, once delta maintenance has
-// run, the closure maintainer that extends it. m is lazily built and
-// only touched under prepMu; readers use data/ix exclusively.
+// preparedState is one cached matching universe of the snapshot base,
+// plus the (cheap, reusable) match index view over it and, once delta
+// maintenance has run, the closure maintainer that extends it. m is
+// lazily built and only touched under prepMu; readers use base, data
+// and ix exclusively.
 type preparedState struct {
+	base *graph.Graph
 	data *graph.Graph
 	ix   *match.Index
 	m    *closure.Maintainer
@@ -358,19 +356,18 @@ func (db *DB) addGraphs(adds []*graph.Graph) error {
 
 // noteInsertLocked records freshly inserted triples against the
 // prepared-universe cache (caller holds mu). When incremental
-// maintenance applies — cache present, cached snapshot and batch both
-// ground — the batch is queued for semi-naive delta application on the
-// next query. Otherwise the cache is dropped and the matching fallback
-// counter bumped: blank nodes make the lean-core step non-incremental
-// (an inserted triple can make previously-core blanks mappable,
-// retracting triples from nf(D)), so only the ground paths, where
-// nf(D) = cl(D), are maintained in place.
+// maintenance applies — a ground state cached, batch ground too — the
+// batch is queued for semi-naive delta application on the next read.
+// Otherwise the cache is dropped and the matching fallback counter
+// bumped: blank nodes make the lean-core step non-incremental (an
+// inserted triple can make previously-core blanks mappable, retracting
+// triples from nf(D)), so only the ground path, where nf(D) = cl(D), is
+// maintained in place.
 func (db *DB) noteInsertLocked(fresh []dict.Triple3) {
-	if db.prepared == nil {
-		return
-	}
 	switch {
-	case !db.preparedGround:
+	case db.cl == nil && db.nf == nil:
+		return
+	case db.cl != db.nf:
 		db.prepStats.fbNonGroundBase.Add(1)
 	case !groundBatch(db.dict, fresh):
 		db.prepStats.fbNonGroundBatch.Add(1)
@@ -384,9 +381,7 @@ func (db *DB) noteInsertLocked(fresh []dict.Triple3) {
 // dropPreparedLocked discards the prepared-universe cache and its
 // pending delta queue (caller holds mu).
 func (db *DB) dropPreparedLocked() {
-	db.prepared = nil
-	db.preparedFor = nil
-	db.pending = nil
+	db.cl, db.nf, db.pending = nil, nil, nil
 }
 
 // groundBatch reports whether no triple of the batch mentions a blank
@@ -402,12 +397,12 @@ func groundBatch(d *dict.Dict, ts []dict.Triple3) bool {
 	return true
 }
 
-// preparedData returns the cached premise-free matching universe and
-// match index for the snapshot g, computing (or incrementally
-// extending) and caching both on first use. It is where plan gets the
-// universe of every premise-free Eval and Stream, and universe that of
-// every paper operation; premised queries build theirs per query with
-// query.Universe instead.
+// universe returns the prepared state whose triple set is nf(D) (nf
+// true) or cl(D) of the current snapshot D: the universe every
+// premise-free Eval and Stream matches against, and the only source of
+// cl(D)/nf(D) for the paper operations. The state's base is the
+// snapshot it covers — the one current when the call resolved it. A
+// dead ctx fails even on a hit.
 //
 // The universe is prepared over a scratch overlay of the shared
 // dictionary: the skolem constants and vocabulary the saturation
@@ -417,126 +412,116 @@ func groundBatch(d *dict.Dict, ts []dict.Triple3) bool {
 // a second, evaluation-owned overlay layered on this one (see
 // query.EvaluatePreparedIndexCtx and query.StreamPreparedIndexCtx).
 //
-// Resolution order: an exact cache hit is lock-cheap; otherwise, under
-// prepMu, the pending insert queue is folded into the cached states by
-// delta saturation when eligible, and whatever is still missing is
-// computed from scratch. prepMu serializes all of this, so concurrent
-// first queries after a mutation wait for one maintenance pass instead
-// of racing duplicate saturations.
+// Resolution order: a cache hit is lock-cheap; otherwise, under
+// prepMu, the pending insert queue is folded into the ground state by
+// delta saturation, or the current snapshot is prepared from scratch.
+// prepMu serializes all of this, so concurrent first reads after a
+// mutation wait for one maintenance pass instead of racing duplicate
+// saturations.
 //
 // The returned histogram is the semweb_query_seconds child labelled
 // with the branch that resolved the request.
-func (db *DB) preparedData(ctx context.Context, g *graph.Graph, skipNF bool) (*preparedState, *obs.Histogram, error) {
-	if st := db.preparedHit(g, skipNF); st != nil {
+func (db *DB) universe(ctx context.Context, nf bool) (*preparedState, *obs.Histogram, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, wrapEngineError(err)
+	}
+	if st := db.cached(nf); st != nil {
 		return st, querySecondsCached, nil
 	}
 	db.prepMu.Lock()
 	defer db.prepMu.Unlock()
-	if st := db.preparedHit(g, skipNF); st != nil {
+	if st := db.cached(nf); st != nil {
 		return st, querySecondsCached, nil // filled while waiting for prepMu
 	}
-	st, err := db.deltaPrepare(ctx, g, skipNF)
+	st, err := db.deltaPrepare(ctx)
 	if st != nil || err != nil {
-		return st, querySecondsDelta, err
+		return st, querySecondsDelta, wrapEngineError(err)
 	}
-	st, err = db.fullPrepare(ctx, g, skipNF)
-	return st, querySecondsFull, err
+	st, err = db.fullPrepare(ctx, nf)
+	return st, querySecondsFull, wrapEngineError(err)
 }
 
-// preparedHit returns the cached state when the cache exactly covers
-// the snapshot g (a pending queue does not spoil the hit: the cache
-// reflects preparedFor itself, and pending holds only later inserts).
-func (db *DB) preparedHit(g *graph.Graph, skipNF bool) *preparedState {
+// cached returns the cached nf (or cl) state when it covers the
+// current snapshot, else nil.
+func (db *DB) cached(nf bool) *preparedState {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if db.preparedFor != g {
+	st := db.cl
+	if nf {
+		st = db.nf
+	}
+	if st == nil || st.base != db.g {
 		return nil
 	}
-	return db.prepared[skipNF]
+	return st
 }
 
-// deltaPrepare folds the pending insert queue into the cached prepared
-// universes by semi-naive delta saturation when g is the current
-// snapshot and a cache with pending inserts exists. It returns
-// (nil, nil) when ineligible — or when the requested flag has no
-// cached state yet — and the caller then falls back to fullPrepare;
-// an extension already published for the other flag is kept either
-// way. Caller holds prepMu.
-func (db *DB) deltaPrepare(ctx context.Context, g *graph.Graph, skipNF bool) (*preparedState, error) {
+// deltaPrepare folds the pending insert queue into the ground state by
+// semi-naive delta saturation and publishes the extension, which then
+// covers the snapshot current when the queue was read. It returns
+// (nil, nil) when no ground state with pending inserts is cached; the
+// caller then prepares from scratch. Caller holds prepMu.
+func (db *DB) deltaPrepare(ctx context.Context) (*preparedState, error) {
 	db.mu.RLock()
-	base, states := db.preparedFor, db.prepared
-	eligible := states != nil && db.g == g && len(db.pending) > 0
-	var batch []dict.Triple3
-	var from *dict.Dict
-	if eligible {
-		// Snapshot the queue and the dictionary it was encoded against
-		// together: a Compact would replace both, and it also drops the
-		// cache, which the publish step below re-checks.
-		batch = append([]dict.Triple3(nil), db.pending...)
-		from = db.dict
-	}
+	st, g := db.cl, db.g
+	eligible := st != nil && st == db.nf && len(db.pending) > 0
+	// Snapshot the queue and the dictionary it was encoded against
+	// together: a Compact would replace both, and it also drops the
+	// cache, which the publish step below re-checks.
+	batch, from := append([]dict.Triple3(nil), db.pending...), db.dict
 	db.mu.RUnlock()
 	if !eligible {
 		return nil, nil
 	}
-	next := make(map[bool]*preparedState, len(states))
-	for f, st := range states {
-		nst, err := extendPrepared(ctx, st, from, batch)
-		if err != nil {
-			// A cancelled or failed apply poisons the maintainer and
-			// leaves no usable extension: drop the cache so the next
-			// query re-prepares from scratch, and report the error.
-			db.mu.Lock()
-			if db.preparedFor == base {
-				db.dropPreparedLocked()
-			}
-			db.mu.Unlock()
-			db.prepStats.fbError.Add(1)
-			return nil, err
-		}
-		next[f] = nst
-	}
+	nst, err := extendPrepared(ctx, st, g, from, batch)
 	db.mu.Lock()
-	// Publish unless the cache was dropped concurrently (non-ground
-	// insert, Compact). Mutations that merely appended more pending
-	// triples do not invalidate the extension: it reflects base∪batch
-	// = g exactly, and the queue keeps the later entries.
-	ok := db.preparedFor == base
-	if ok {
-		db.prepared = next
-		db.preparedFor = g
+	defer db.mu.Unlock()
+	// A concurrent non-ground insert or Compact may have dropped the
+	// cache meanwhile; the extension then serves this caller only.
+	// Mutations that merely appended more pending triples do not
+	// invalidate it: it covers base ∪ batch = g exactly, and the queue
+	// keeps the later entries.
+	current := db.cl == st
+	switch {
+	case err != nil:
+		// A cancelled or failed apply poisons the maintainer and leaves
+		// no usable extension: drop the cache so the next read
+		// re-prepares from scratch, and report the error.
+		db.prepStats.fbError.Add(1)
+		if current {
+			db.dropPreparedLocked()
+		}
+		return nil, err
+	case current:
+		db.cl, db.nf = nst, nst
 		db.pending = db.pending[len(batch):]
 		if len(db.pending) == 0 {
 			db.pending = nil
 		}
 	}
-	db.mu.Unlock()
-	if !ok {
-		return nil, nil
-	}
 	db.prepStats.delta.Add(1)
 	db.prepStats.deltaTriples.Add(uint64(len(batch)))
-	return next[skipNF], nil
+	return nst, nil
 }
 
 // extendPrepared folds one pending batch (encoded against the shared
-// base dictionary from) into one cached universe and returns the
-// extended state. The prepared graph lives on a scratch overlay
-// created at prepare time, and base-dictionary IDs interned after that
-// point collide with the overlay's private range — so the batch cannot
-// be replayed by ID: each triple is decoded through the base
-// dictionary and re-interned through the overlay, the same translation
-// evaluation applies to query pattern terms. The published graph and
-// index are never mutated — the maintainer touches only its private
-// engine state, and the extension is a fresh graph/index pair
-// (ExtendedByIDs) — so readers streaming from the old state are
-// undisturbed.
-func extendPrepared(ctx context.Context, st *preparedState, from *dict.Dict, batch []dict.Triple3) (*preparedState, error) {
+// base dictionary from) into the ground state and returns the extended
+// state, which covers the snapshot g. The prepared graph lives on a
+// scratch overlay created at prepare time, and base-dictionary IDs
+// interned after that point collide with the overlay's private range —
+// so the batch cannot be replayed by ID: each triple is decoded
+// through the base dictionary and re-interned through the overlay, the
+// same translation evaluation applies to query pattern terms. The
+// published graph and index are never mutated — the maintainer touches
+// only its private engine state, and the extension is a fresh
+// graph/index pair (ExtendedByIDs) — so readers streaming from the old
+// state are undisturbed.
+func extendPrepared(ctx context.Context, st *preparedState, g *graph.Graph, from *dict.Dict, batch []dict.Triple3) (*preparedState, error) {
 	if st.m == nil {
 		// First maintenance over this state: seed the maintainer from
-		// the prepared universe (ground, hence RDFS-closed for both
-		// the cl and the nf = cl flavors). It rides along in every
-		// extended state, so later batches skip this O(|cl|) pass.
+		// the prepared universe (ground, hence RDFS-closed). It rides
+		// along in every extended state, so later batches skip this
+		// O(|cl|) pass.
 		st.m = closure.NewMaintainer(st.data)
 	}
 	to := st.data.Dict()
@@ -553,36 +538,35 @@ func extendPrepared(ctx context.Context, st *preparedState, from *dict.Dict, bat
 		return nil, err
 	}
 	nix := st.ix.ExtendedByIDs(added)
-	return &preparedState{data: nix.Graph(), ix: nix, m: st.m}, nil
+	return &preparedState{base: g, data: nix.Graph(), ix: nix, m: st.m}, nil
 }
 
-// fullPrepare computes the matching universe for g from scratch and
-// caches it when g can still be served from the cache — as the missing
-// flag of a cache already covering g, or as a fresh cache when g is
-// the current snapshot. A query overtaken by a commit (g is neither)
-// pays the whole saturation for an uncacheable result; that is counted
-// as a stale fallback. Caller holds prepMu.
-func (db *DB) fullPrepare(ctx context.Context, g *graph.Graph, skipNF bool) (*preparedState, error) {
-	data, err := query.Prepare(ctx, scratchView(g), skipNF)
+// fullPrepare computes the matching universe of the current snapshot
+// from scratch — cl(D) on a ground snapshot, where it is nf(D) too —
+// and caches it. A commit that overtakes the preparation while it runs
+// leaves the result serving its caller uncached, counted as a stale
+// fallback. Caller holds prepMu.
+func (db *DB) fullPrepare(ctx context.Context, nf bool) (*preparedState, error) {
+	g := db.snapshot()
+	ground := g.IsGround() // O(n) scan, outside the write lock
+	data, err := query.Prepare(ctx, scratchView(g), ground || !nf)
 	if err != nil {
 		return nil, err
 	}
-	st := &preparedState{data: data, ix: match.NewIndex(data)}
+	st := &preparedState{base: g, data: data, ix: match.NewIndex(data)}
 	db.prepStats.full.Add(1)
-	ground := g.IsGround() // O(n) scan, outside the write lock
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	switch {
-	case db.preparedFor == g:
-		db.prepared[skipNF] = st
-	case db.g == g:
-		db.prepared = map[bool]*preparedState{skipNF: st}
-		db.preparedFor = g
-		db.preparedGround = ground
-		db.pending = nil
-	default:
+	case db.g != g:
 		db.prepStats.fbStale.Add(1)
+	case ground:
+		db.cl, db.nf = st, st
+	case nf:
+		db.nf = st
+	default:
+		db.cl = st
 	}
-	db.mu.Unlock()
 	return st, nil
 }
 
@@ -817,7 +801,7 @@ func (db *DB) resetLocked(d *dict.Dict, g *graph.Graph) {
 	defer db.mu.Unlock()
 	db.dict = d
 	db.g = g
-	if db.prepared != nil {
+	if db.cl != nil || db.nf != nil {
 		db.prepStats.fbCompact.Add(1)
 	}
 	db.dropPreparedLocked()
@@ -903,9 +887,11 @@ type Stats struct {
 	ReplLagRecords int   `json:"repl_lag_records"`
 
 	// PreparedFull counts matching-universe preparations computed from
-	// scratch (closure saturation plus, unless skipped, the
-	// normal-form retraction) since the database was opened, whether
-	// a query or a paper operation (Entails, Infers, ...) asked first.
+	// scratch (closure saturation plus, on a non-ground snapshot and
+	// unless skipped, the normal-form retraction) since the database
+	// was opened, whether a query or a paper operation (Entails,
+	// Infers, ...) asked first. A ground snapshot is prepared once for
+	// both universes: its nf(D) is cl(D).
 	PreparedFull uint64 `json:"prepared_full"`
 	// PreparedDelta counts incremental maintenance passes: pending
 	// insert batches folded into the cached prepared universe by
@@ -927,10 +913,9 @@ type Stats struct {
 	// Deprecated: always 0. Incremental maintenance can no longer be
 	// disabled; the field and its JSON key stay for existing readers.
 	PreparedFallbackDisabled uint64 `json:"prepared_fallback_disabled"`
-	// PreparedFallbackStale counts queries overtaken by a commit: their
-	// snapshot was no longer current when they reached preparation, so
-	// they re-saturated it from scratch without caching the result
-	// (each is also counted in PreparedFull).
+	// PreparedFallbackStale counts full preparations that a commit
+	// overtook while they ran: the result serves the read that asked
+	// for it but is not cached (each is also counted in PreparedFull).
 	PreparedFallbackStale uint64 `json:"prepared_fallback_stale"`
 }
 
@@ -995,7 +980,7 @@ func (db *DB) Has(t Triple) bool { return db.snapshot().Has(t) }
 // Infers reports whether t ∈ cl(D): a lookup of t in the prepared cl(D),
 // interning nothing. Ill-formed triples and unknown terms give false.
 func (db *DB) Infers(t Triple) bool {
-	st, err := db.universe(context.TODO(), db.snapshot(), false)
+	st, _, err := db.universe(context.TODO(), false)
 	return err == nil && st.data.Has(t)
 }
 
@@ -1035,12 +1020,12 @@ type queryPlan struct {
 }
 
 // plan is the step Eval and Stream share. It compiles q, resolves its
-// options against the DB defaults, takes the current snapshot and gets
-// the matching universe for it: the cached nf(D) (or cl(D)) from
-// preparedData for a premise-free query, or a per-query nf(D + P) from
-// query.Universe for a premised one — a premise changes the universe,
-// so nothing is cached across queries. Resolving the universe is the
-// "prepare" span of the query's trace.
+// options against the DB defaults and gets the matching universe: the
+// cached nf(D) (or cl(D)) of the current snapshot from universe for a
+// premise-free query, or a per-query nf(D + P) from query.Universe for
+// a premised one — a premise changes the universe, so nothing is
+// cached across queries. Resolving the universe is the "prepare" span
+// of the query's trace.
 func (db *DB) plan(ctx context.Context, q *Query) (*queryPlan, error) {
 	t0 := time.Now()
 	if q == nil {
@@ -1058,17 +1043,16 @@ func (db *DB) plan(ctx context.Context, q *Query) (*queryPlan, error) {
 	if q.semanticsSet {
 		p.opts.Semantics = q.semantics
 	}
-	g := db.snapshot()
 	defer obs.TraceFrom(ctx).StartSpan("prepare")()
 	if iq.Premise == nil || iq.Premise.Len() == 0 {
-		st, seconds, err := db.preparedData(ctx, g, p.opts.SkipNormalForm)
+		st, seconds, err := db.universe(ctx, !p.opts.SkipNormalForm)
 		if err != nil {
-			return nil, wrapEngineError(err)
+			return nil, err
 		}
 		p.ix, p.seconds = st.ix, seconds
 		return p, nil
 	}
-	if p.ix, err = query.Universe(ctx, iq, g, p.opts.SkipNormalForm); err != nil {
+	if p.ix, err = query.Universe(ctx, iq, db.snapshot(), p.opts.SkipNormalForm); err != nil {
 		return nil, wrapEngineError(err)
 	}
 	return p, nil
@@ -1085,43 +1069,19 @@ func (p *queryPlan) observe(rows int, truncated bool) {
 	}
 }
 
-// universe returns the cached prepared state whose triple set is nf(D)
-// or cl(D) for the snapshot g: the universe Eval matches against, and
-// the only source of cl(D)/nf(D) for the paper operations. A ground
-// graph is its own core, so on a ground snapshot both are the state for
-// the default flag; otherwise cl(D) is the skipNF state, so cl-only
-// operations never compute a core. A dead ctx fails even on a hit.
-func (db *DB) universe(ctx context.Context, g *graph.Graph, nf bool) (*preparedState, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapEngineError(err)
-	}
-	db.mu.RLock()
-	known, ground := db.preparedFor == g, db.preparedGround
-	db.mu.RUnlock()
-	if !known {
-		ground = g.IsGround()
-	}
-	skipNF := !nf
-	if ground {
-		skipNF = db.cfg.skipNormalForm
-	}
-	st, _, err := db.preparedData(ctx, g, skipNF)
-	return st, wrapEngineError(err)
-}
-
 // Entails reports D ⊨ h: whether h, blank nodes as unknowns, maps into
 // the prepared cl(D) (Theorem 2.8). h's terms are interned into a
 // scratch overlay.
 func (db *DB) Entails(ctx context.Context, h *Graph) (bool, error) {
-	return db.entails(ctx, db.snapshot(), h)
-}
-
-// entails is Entails against the snapshot g.
-func (db *DB) entails(ctx context.Context, g *graph.Graph, h *Graph) (bool, error) {
-	st, err := db.universe(ctx, g, false)
+	st, _, err := db.universe(ctx, false)
 	if err != nil {
 		return false, err
 	}
+	return entailsIn(ctx, st, h)
+}
+
+// entailsIn decides D ⊨ h against the prepared cl(D) st.
+func entailsIn(ctx context.Context, st *preparedState, h *Graph) (bool, error) {
 	s := match.NewSolver(st.ix, match.Options{
 		IsUnknown: Term.IsBlank,
 		Dict:      st.ix.Dict().Scratch(),
@@ -1132,18 +1092,29 @@ func (db *DB) entails(ctx context.Context, g *graph.Graph, h *Graph) (bool, erro
 }
 
 // Prove decides D ⊨ h and returns a checked derivation when it holds.
+// Both sides run on scratch overlays, so neither the database nor h
+// gains terms.
 func (db *DB) Prove(h *Graph) (*Proof, bool) {
-	return Prove(scratchView(db.snapshot()), h)
+	return Prove(scratchView(db.snapshot()), scratchView(h))
 }
 
 // Equivalent reports D ≡ h: Entails, then h ⊨ D over a scratch overlay
 // of h's dictionary, so h gains no terms from D or from cl(h).
 func (db *DB) Equivalent(ctx context.Context, h *Graph) (bool, error) {
-	g := db.snapshot()
-	if ok, err := db.entails(ctx, g, h); !ok || err != nil {
+	st, _, err := db.universe(ctx, false)
+	if err != nil {
 		return false, err
 	}
-	ok, err := entail.EntailsCtx(ctx, scratchView(h), g)
+	return equivalentIn(ctx, st, h)
+}
+
+// equivalentIn decides D ≡ h for the snapshot D the prepared cl(D) st
+// covers, so both halves read one snapshot.
+func equivalentIn(ctx context.Context, st *preparedState, h *Graph) (bool, error) {
+	if ok, err := entailsIn(ctx, st, h); !ok || err != nil {
+		return false, err
+	}
+	ok, err := entail.EntailsCtx(ctx, scratchView(h), st.base)
 	return ok, wrapEngineError(err)
 }
 
@@ -1167,7 +1138,7 @@ func (db *DB) NormalForm(ctx context.Context) (*Graph, error) {
 
 // universeCopy is Closure (nf false) and NormalForm (nf true).
 func (db *DB) universeCopy(ctx context.Context, nf bool) (*Graph, error) {
-	st, err := db.universe(ctx, db.snapshot(), nf)
+	st, _, err := db.universe(ctx, nf)
 	if err != nil {
 		return nil, err
 	}
@@ -1189,7 +1160,7 @@ func (db *DB) Canonical() *Graph { return Canonicalize(scratchView(db.snapshot()
 // Fingerprint returns the equivalence certificate of D: the canonical
 // serialization of the prepared nf(D).
 func (db *DB) Fingerprint(ctx context.Context) (string, error) {
-	st, err := db.universe(ctx, db.snapshot(), true)
+	st, _, err := db.universe(ctx, true)
 	if err != nil {
 		return "", err
 	}

@@ -80,11 +80,12 @@ func evalBothFlags(t *testing.T, db *DB) (nf, cl *Answer) {
 }
 
 // TestDeltaPreparedMatchesFromScratch is the acceptance property: at
-// every point of a random insert/query interleaving, both cached
-// prepared universes — maintained only by semi-naive delta passes
-// after the first preparation — are triple-set equal AND
-// Fingerprint-equal to a from-scratch query.Prepare over the same
-// snapshot.
+// every point of a random insert/query interleaving, the prepared
+// universe under either flag — one state on a ground database,
+// maintained only by semi-naive delta passes after the first
+// preparation — is triple-set equal AND Fingerprint-equal to a
+// from-scratch query.Prepare over the snapshot it covers, which is the
+// current one.
 func TestDeltaPreparedMatchesFromScratch(t *testing.T) {
 	// Preparation runs on one worker; the subtest name says so.
 	t.Run("workers=1", func(t *testing.T) {
@@ -111,13 +112,15 @@ func TestDeltaPreparedMatchesFromScratch(t *testing.T) {
 			}
 			evalBothFlags(t, db)
 
-			snap := db.snapshot()
 			for _, skipNF := range []bool{false, true} {
-				st := db.preparedHit(snap, skipNF)
-				if st == nil {
-					t.Fatalf("round %d skipNF=%v: no cached prepared state after eval", round, skipNF)
+				st, seconds, err := db.universe(ctx, !skipNF)
+				if err != nil {
+					t.Fatal(err)
 				}
-				want, err := query.Prepare(ctx, scratchView(snap), skipNF)
+				if seconds != querySecondsCached || st.base != db.snapshot() {
+					t.Fatalf("round %d skipNF=%v: no cached state for the current snapshot after eval", round, skipNF)
+				}
+				want, err := query.Prepare(ctx, scratchView(st.base), skipNF)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,8 +143,8 @@ func TestDeltaPreparedMatchesFromScratch(t *testing.T) {
 			}
 		}
 		st := db.Stats()
-		if st.PreparedFull != 2 {
-			t.Fatalf("PreparedFull = %d, want exactly 2 (one per flag); deltas did not stick", st.PreparedFull)
+		if st.PreparedFull != 1 {
+			t.Fatalf("PreparedFull = %d, want exactly 1 (one state for both flags); deltas did not stick", st.PreparedFull)
 		}
 		if st.PreparedDelta < 6 {
 			t.Fatalf("PreparedDelta = %d, want ≥ 6", st.PreparedDelta)
@@ -175,8 +178,8 @@ func TestDeltaAnswersMatchFullReprepare(t *testing.T) {
 		defer full.Close()
 		aNF, aCl := evalBothFlags(t, inc)
 		bNF, bCl := evalBothFlags(t, full)
-		if st := full.Stats(); st.PreparedFull != 2 || st.PreparedDelta != 0 {
-			t.Fatalf("fresh DB: full=%d delta=%d, want 2/0", st.PreparedFull, st.PreparedDelta)
+		if st := full.Stats(); st.PreparedFull != 1 || st.PreparedDelta != 0 {
+			t.Fatalf("fresh DB: full=%d delta=%d, want 1/0", st.PreparedFull, st.PreparedDelta)
 		}
 		if aNF.NTriples() != bNF.NTriples() {
 			t.Fatalf("nf answers diverge:\n%s\nvs\n%s", aNF.NTriples(), bNF.NTriples())
@@ -190,14 +193,15 @@ func TestDeltaAnswersMatchFullReprepare(t *testing.T) {
 		step(v.triples(1 + rng.Intn(25)))
 	}
 
-	if st := inc.Stats(); st.PreparedDelta == 0 || st.PreparedFull != 2 {
-		t.Fatalf("incremental DB: full=%d delta=%d, want 2 and >0", st.PreparedFull, st.PreparedDelta)
+	if st := inc.Stats(); st.PreparedDelta == 0 || st.PreparedFull != 1 {
+		t.Fatalf("incremental DB: full=%d delta=%d, want 1 and >0", st.PreparedFull, st.PreparedDelta)
 	}
 }
 
 // TestDeltaStatsCounters pins the counter lifecycle: one full prepare
-// per flag, pending Adds coalesce into a single delta pass at the next
-// query, and PreparedDeltaTriples totals the batch sizes folded in.
+// for both flags on a ground database, pending Adds coalesce into a
+// single delta pass at the next query, and PreparedDeltaTriples totals
+// the batch sizes folded in.
 func TestDeltaStatsCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	v := deltaVocab{rng}
@@ -211,8 +215,8 @@ func TestDeltaStatsCounters(t *testing.T) {
 	}
 	evalBothFlags(t, db)
 	st := db.Stats()
-	if st.PreparedFull != 2 || st.PreparedDelta != 0 {
-		t.Fatalf("after first evals: full=%d delta=%d, want 2/0", st.PreparedFull, st.PreparedDelta)
+	if st.PreparedFull != 1 || st.PreparedDelta != 0 {
+		t.Fatalf("after first evals: full=%d delta=%d, want 1/0", st.PreparedFull, st.PreparedDelta)
 	}
 
 	// Three separate Adds (7 distinct fresh triples total) queue up…
@@ -243,8 +247,8 @@ func TestDeltaStatsCounters(t *testing.T) {
 	// …and one query folds them in with a single maintenance pass.
 	evalBothFlags(t, db)
 	st = db.Stats()
-	if st.PreparedFull != 2 {
-		t.Fatalf("PreparedFull = %d after delta, want still 2", st.PreparedFull)
+	if st.PreparedFull != 1 {
+		t.Fatalf("PreparedFull = %d after delta, want still 1", st.PreparedFull)
 	}
 	if st.PreparedDelta != 1 {
 		t.Fatalf("PreparedDelta = %d, want 1 (batches coalesce)", st.PreparedDelta)
@@ -291,14 +295,14 @@ func TestDeltaFallbacks(t *testing.T) {
 			t.Fatalf("fallback counter = %d, want 1", st.PreparedFallbackNonGroundBatch)
 		}
 		db.mu.RLock()
-		dropped := db.prepared == nil && db.pending == nil
+		dropped := db.cl == nil && db.nf == nil && db.pending == nil
 		db.mu.RUnlock()
 		if !dropped {
 			t.Fatal("prepared cache not dropped on non-ground insert")
 		}
 		evalBothFlags(t, db)
-		if st := db.Stats(); st.PreparedFull != 4 || st.PreparedDelta != 0 {
-			t.Fatalf("full=%d delta=%d after fallback, want 4/0", st.PreparedFull, st.PreparedDelta)
+		if st := db.Stats(); st.PreparedFull != 3 || st.PreparedDelta != 0 {
+			t.Fatalf("full=%d delta=%d after fallback, want 3/0 (one ground state, then one per flag)", st.PreparedFull, st.PreparedDelta)
 		}
 		if !db.Infers(T(Blank("b"), Type, IRI("urn:f:c2"))) {
 			t.Fatal("post-fallback snapshot lost a derivation")
@@ -344,17 +348,19 @@ func TestDeltaFallbacks(t *testing.T) {
 			t.Fatalf("fallback counter = %d, want 1", st.PreparedFallbackCompact)
 		}
 		evalBothFlags(t, db)
-		if st := db.Stats(); st.PreparedFull != 4 {
-			t.Fatalf("full=%d after compact, want 4 (cache rebuilt)", st.PreparedFull)
+		if st := db.Stats(); st.PreparedFull != 2 {
+			t.Fatalf("full=%d after compact, want 2 (cache rebuilt)", st.PreparedFull)
 		}
 	})
 }
 
 // TestDeltaConcurrentAddEvalStream hammers one database with
 // concurrent ground inserts, premise-free Evals and Streams and paper
-// operations (Infers, Entails, Closure) — meant to
-// run under the race detector (`make test-race`). Every operation must
-// succeed, and the final state must equal a fresh preparation.
+// operations (Infers, Entails, Closure, Equivalent) — meant to run
+// under the race detector (`make test-race`, `make test-stress`).
+// Every operation must succeed, every read after the warm-up must be
+// served by the cache or a delta pass (no full re-saturation, stale or
+// not), and the final state must equal a fresh preparation.
 func TestDeltaConcurrentAddEvalStream(t *testing.T) {
 	db, err := Open()
 	if err != nil {
@@ -429,6 +435,10 @@ func TestDeltaConcurrentAddEvalStream(t *testing.T) {
 				errs <- err
 				return
 			}
+			if _, err := db.Equivalent(ctx, h); err != nil {
+				errs <- err
+				return
+			}
 			if _, err := db.Closure(ctx); err != nil {
 				errs <- err
 				return
@@ -441,14 +451,18 @@ func TestDeltaConcurrentAddEvalStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	evalBothFlags(t, db)
-	snap := db.snapshot()
+	if st := db.Stats(); st.PreparedFull != 1 || st.PreparedFallbackStale != 0 {
+		t.Fatalf("full=%d stale=%d under concurrent writes, want 1 and 0", st.PreparedFull, st.PreparedFallbackStale)
+	}
 	for _, skipNF := range []bool{false, true} {
-		st := db.preparedHit(snap, skipNF)
-		if st == nil {
-			t.Fatalf("skipNF=%v: no cached state after the dust settled", skipNF)
+		st, _, err := db.universe(ctx, !skipNF)
+		if err != nil {
+			t.Fatal(err)
 		}
-		want, err := query.Prepare(ctx, scratchView(snap), skipNF)
+		if st.base != db.snapshot() {
+			t.Fatalf("skipNF=%v: universe covers an older snapshot after the dust settled", skipNF)
+		}
+		want, err := query.Prepare(ctx, scratchView(st.base), skipNF)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,8 @@
 // White-box tests for internals that public API alone cannot pin down:
-// the compile-time pattern snapshot and the stale-prepare fallback
-// counter.
+// the compile-time pattern snapshot.
 package semweb
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 // TestCompileSnapshotsBuilderSlices is the regression test for the
 // builder slice-aliasing bug: Head/Body grow slices with append, so two
@@ -76,33 +72,5 @@ func TestHeadSnapshotToo(t *testing.T) {
 	a.Head(T(X, IRI("urn:hA"), o))
 	if iq.Head[3] != before {
 		t.Fatalf("compiled head[3] changed from %v to %v", before, iq.Head[3])
-	}
-}
-
-// TestStalePrepareCountsFallback: a query whose snapshot was overtaken
-// by a commit before it reached preparation re-saturates from scratch
-// without caching, and Stats counts that as a stale fallback.
-func TestStalePrepareCountsFallback(t *testing.T) {
-	db, err := Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.Add(T(IRI("urn:a"), SubClassOf, IRI("urn:b"))); err != nil {
-		t.Fatal(err)
-	}
-	g := db.snapshot()
-	if err := db.Add(T(IRI("urn:x"), Type, IRI("urn:a"))); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := db.preparedData(context.Background(), g, false); err != nil {
-		t.Fatal(err)
-	}
-	st := db.Stats()
-	if st.PreparedFallbackStale != 1 || st.PreparedFull != 1 {
-		t.Fatalf("stale=%d full=%d, want 1 and 1", st.PreparedFallbackStale, st.PreparedFull)
-	}
-	if db.preparedHit(g, false) != nil || db.preparedHit(db.snapshot(), false) != nil {
-		t.Fatal("a stale snapshot's universe was cached")
 	}
 }

@@ -301,10 +301,12 @@ func TestPaperOpsResultsAreIndependent(t *testing.T) {
 	}
 }
 
-// TestPaperOpsShareThePreparedUniverse pins the counters: once warm,
-// paper operations on an unchanged database prepare and saturate
-// nothing and observe no query latency, and after a one-triple ground
-// write the next Infers folds it in by one delta pass.
+// TestPaperOpsShareThePreparedUniverse pins the counters: a ground
+// database prepares one universe for both flags and every operation, a
+// non-ground one one per flag; once warm, paper operations on an
+// unchanged database prepare and saturate nothing and observe no query
+// latency, and after a one-triple ground write the next Infers folds it
+// in by one delta pass.
 func TestPaperOpsShareThePreparedUniverse(t *testing.T) {
 	ctx := context.Background()
 	const fullSaturations = `semweb_closure_saturations_total{mode="full"}`
@@ -354,12 +356,16 @@ func TestPaperOpsShareThePreparedUniverse(t *testing.T) {
 			if _, err := db.Closure(ctx); err != nil {
 				t.Fatal(err)
 			}
-			if tc.blank && db.preparedHit(db.snapshot(), false) != nil {
+			db.mu.RLock()
+			nf := db.nf
+			db.mu.RUnlock()
+			if tc.blank && nf != nil {
 				t.Fatal("a cl-only operation computed nf(D) on a non-ground database")
 			}
+			evalBothFlags(t, db)
 			ops()
 			if want := map[bool]uint64{false: 1, true: 2}[tc.blank]; db.Stats().PreparedFull != want {
-				t.Fatalf("PreparedFull = %d after warming every operation, want %d", db.Stats().PreparedFull, want)
+				t.Fatalf("PreparedFull = %d after warming both flags and every operation, want %d", db.Stats().PreparedFull, want)
 			}
 			before, satBefore := db.Stats(), scrapeSamples(t)[fullSaturations]
 			queriesBefore := querySecondsFull.Count() + querySecondsCached.Count() + querySecondsDelta.Count()
@@ -402,8 +408,9 @@ func TestPaperOpsShareThePreparedUniverse(t *testing.T) {
 }
 
 // TestEquivalentKeepsArgumentDictionary: Equivalent's h ⊨ D half
-// encodes D against h's closure, which must happen on an overlay — the
-// caller's h gains no terms from D or from the RDFS vocabulary.
+// encodes D against h's closure, and Prove maps D's terms into h's
+// derivation, which must both happen on an overlay — the caller's h
+// gains no terms from D or from the RDFS vocabulary.
 func TestEquivalentKeepsArgumentDictionary(t *testing.T) {
 	v := deltaVocab{rand.New(rand.NewSource(3))}
 	db, err := Open()
@@ -422,6 +429,49 @@ func TestEquivalentKeepsArgumentDictionary(t *testing.T) {
 	}
 	if got := h.Dict().Len(); got != before {
 		t.Fatalf("Equivalent grew h's dictionary %d -> %d", before, got)
+	}
+	// Prove's derivation instantiates h's blank with D's subject.
+	h = NewGraph(T(Blank("x"), ts[0].P, ts[0].O))
+	before = h.Dict().Len()
+	if _, ok := db.Prove(h); !ok {
+		t.Fatal("Prove found no derivation of an entailed graph")
+	}
+	if got := h.Dict().Len(); got != before {
+		t.Fatalf("Prove grew h's dictionary %d -> %d", before, got)
+	}
+}
+
+// TestEquivalentReadsOneSnapshot: both halves of D ≡ h read the
+// snapshot the prepared cl(D) covers, even when a commit lands between
+// resolving the universe and the h ⊨ D half.
+func TestEquivalentReadsOneSnapshot(t *testing.T) {
+	ctx := context.Background()
+	db, err := Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	d0 := []Triple{
+		T(IRI("urn:e:a"), SubClassOf, IRI("urn:e:b")),
+		T(IRI("urn:e:x"), Type, IRI("urn:e:a")),
+	}
+	if err := db.Add(d0...); err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := db.universe(ctx, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A commit h does not entail overtakes the resolved universe.
+	if err := db.Add(T(IRI("urn:e:y"), Type, IRI("urn:e:c"))); err != nil {
+		t.Fatal(err)
+	}
+	h := NewGraph(d0...)
+	if ok, err := equivalentIn(ctx, st, h); err != nil || !ok {
+		t.Fatalf("D ≡ h over the resolved snapshot = %v (%v), want true", ok, err)
+	}
+	if ok, err := db.Equivalent(ctx, h); err != nil || ok {
+		t.Fatalf("D ≡ h over the current snapshot = %v (%v), want false", ok, err)
 	}
 }
 
