@@ -107,8 +107,9 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -compare $(BENCH_GATE_FLAGS) $(BENCH_BASELINE) bench_fresh.json
 
 # Short fuzz pass over the parsers, the storage codecs and the
-# differential delta-closure target (native Go fuzzing; seeds under
-# internal/*/testdata/fuzz are always exercised by plain `make test`).
+# differential delta-closure and entailment targets (native Go fuzzing;
+# seeds under internal/*/testdata/fuzz and semweb/testdata/fuzz are
+# always exercised by plain `make test`).
 fuzz:
 	$(GO) test -fuzz 'FuzzParse$$' -fuzztime 30s ./internal/ntriples/
 	$(GO) test -fuzz FuzzParseLine -fuzztime 15s ./internal/ntriples/
@@ -117,6 +118,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReplayWAL -fuzztime 30s ./internal/persist/
 	$(GO) test -fuzz FuzzReplStream -fuzztime 30s ./internal/repl/
 	$(GO) test -fuzz FuzzDeltaClosure -fuzztime 30s ./internal/closure/
+	$(GO) test -fuzz FuzzEntailmentAgrees -fuzztime 30s ./semweb/
 
 # Run every example program (living API documentation).
 examples:

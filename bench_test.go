@@ -82,7 +82,8 @@ func BenchmarkRDFSEntail(b *testing.B) {
 
 func BenchmarkAcyclicVsCyclic(b *testing.B) {
 	data := gen.EncGround(gen.RandomGraph(40, 200, 7), "d")
-	ix, finder := match.NewIndex(data), hom.NewFinder(data)
+	ix := match.NewIndex(data)
+	finder := hom.NewFinder(ix)
 	for _, n := range []int{6, 10} {
 		chain, cycle := gen.BlankChainBody(n), gen.BlankCycleBody(n)
 		b.Run(fmt.Sprintf("chain%d/yannakakis", n), func(b *testing.B) {

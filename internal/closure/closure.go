@@ -1,7 +1,7 @@
 // Package closure implements the maximal representations of Section 3.1
 // of the paper: the closure RDFS-cl(G) of Definition 2.7 (the saturation
-// of G under rules (2)–(13)), the semantic closure cl(G) of Definition
-// 3.5 computed through skolemization (Lemma 3.4), and the
+// of G under rules (2)–(13)), which is also the semantic closure cl(G)
+// of Definition 3.5 (Lemma 3.4, Theorem 3.6(2)), and the
 // membership-without-materialization test of Theorem 3.6(4).
 package closure
 
@@ -61,55 +61,11 @@ func rdfsClSequential(ctx context.Context, g *graph.Graph, order queueOrder, rng
 	return e.out, nil
 }
 
-// Cl returns cl(G) following Definition 3.5: skolemize G to the ground
-// graph G*, close it, and unskolemize the result (dropping triples that
-// become ill-formed). By Lemma 3.4 and Theorem 3.6(2) this coincides
-// with RDFSCl; the two code paths are property-tested against each other.
-func Cl(g *graph.Graph) *graph.Graph {
-	out, _ := ClCtx(context.Background(), g)
-	return out
-}
-
-// ClCtx is Cl under a context (see RDFSClCtx).
-//
-// Ground graphs (no blank nodes — the common shape of loaded
-// databases) take a direct path: skolemization is the identity on
-// them and the rules introduce no skolem constants, so cl(G) is
-// RDFS-cl(G) verbatim, and the two O(|cl|) rewriting copies are
-// skipped.
-func ClCtx(ctx context.Context, g *graph.Graph) (*graph.Graph, error) {
-	if g.IsGround() {
-		return RDFSClCtx(ctx, g)
-	}
-	closed, err := RDFSClCtx(ctx, graph.Skolemize(g))
-	if err != nil {
-		return nil, err
-	}
-	return graph.Unskolemize(closed), nil
-}
-
-// NaiveRDFSCl computes the closure by repeatedly enumerating every rule
-// instantiation until no new triple appears. It is the ablation baseline
-// (A2) and the executable transcription of Definition 2.7.
-func NaiveRDFSCl(g *graph.Graph) *graph.Graph {
-	out := g.Clone()
-	for _, p := range rdfs.Vocabulary() {
-		out.Add(graph.T(p, rdfs.SubPropertyOf, p))
-	}
-	for {
-		added := false
-		for _, inst := range rdfs.AllInstantiations(out) {
-			for _, c := range inst.Conclusions {
-				if out.Add(c) {
-					added = true
-				}
-			}
-		}
-		if !added {
-			return out
-		}
-	}
-}
+// NaiveRDFSCl computes the closure by re-enumerating every rule
+// instantiation, round by round, until no new triple appears. It is the
+// ablation baseline (A2): the executable transcription of Definition
+// 2.7 that rdfs.Saturate also runs for proofs, here recording nothing.
+func NaiveRDFSCl(g *graph.Graph) *graph.Graph { return rdfs.Saturate(g, nil) }
 
 // queueOrder selects the order in which the engine drains its work
 // queue. The order is an implementation detail: the closure is the
@@ -161,6 +117,7 @@ type engine struct {
 }
 
 func newEngine(d *dict.Dict) *engine {
+	d.InternAll(rdfs.Vocabulary()) // one batch; the Interns below look up
 	e := &engine{
 		d:         d,
 		out:       graph.NewWithDict(d),

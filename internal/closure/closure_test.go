@@ -220,27 +220,6 @@ func TestSemiNaiveEqualsNaiveRandom(t *testing.T) {
 	}
 }
 
-func TestClEqualsRDFSCl(t *testing.T) {
-	// Lemma 3.4 / Theorem 3.6(2): the skolemization route and the direct
-	// route coincide.
-	rng := rand.New(rand.NewSource(11))
-	preds := []term.Term{rdfs.SubClassOf, rdfs.SubPropertyOf, rdfs.Type, rdfs.Domain, rdfs.Range, iri("p")}
-	names := []term.Term{iri("a"), iri("b"), blk("x"), blk("y"), blk("z")}
-	for round := 0; round < 60; round++ {
-		g := graph.New()
-		for k := 0; k < 7; k++ {
-			g.Add(graph.T(
-				names[rng.Intn(len(names))],
-				preds[rng.Intn(len(preds))],
-				names[rng.Intn(len(names))],
-			))
-		}
-		if !Cl(g).Equal(RDFSCl(g)) {
-			t.Fatalf("round %d: cl(G) ≠ RDFS-cl(G) on\n%v", round, g)
-		}
-	}
-}
-
 func TestClosureIdempotent(t *testing.T) {
 	g := graph.New(
 		graph.T(iri("a"), rdfs.SubClassOf, iri("b")),
@@ -395,37 +374,5 @@ func TestClosureOrderIndependent(t *testing.T) {
 				t.Fatalf("round %d seed %d: shuffled drain produced a different closure", round, seed)
 			}
 		}
-	}
-}
-
-// TestClGroundSkipsSkolemization pins ClCtx's ground fast path: on a
-// graph without blank nodes it returns RDFS-cl(G) as saturated, with no
-// Skolemize/Unskolemize round trip. The probe is an IRI that happens to
-// carry the skolem prefix: the round trip would turn it into a blank
-// node (interning that blank), the direct path leaves it alone and
-// interns nothing beyond what saturation itself does.
-func TestClGroundSkipsSkolemization(t *testing.T) {
-	skolemLike := iri(graph.SkolemPrefix + "x")
-	g := graph.New(
-		graph.T(skolemLike, rdfs.Type, iri("A")),
-		graph.T(iri("A"), rdfs.SubClassOf, iri("B")),
-		graph.T(iri("p"), rdfs.Domain, iri("A")),
-		graph.T(iri("s"), iri("p"), skolemLike),
-	)
-	want := RDFSCl(g)
-	terms := g.Dict().Len()
-	got, err := ClCtx(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("ground ClCtx differs from RDFSCl\nonly-want: %v\nonly-got: %v",
-			want.Minus(got), got.Minus(want))
-	}
-	if n := g.Dict().Len(); n != terms {
-		t.Fatalf("ground ClCtx interned %d terms (skolem round trip taken)", n-terms)
-	}
-	if _, ok := g.Dict().Lookup(blk("x")); ok {
-		t.Fatal("ground ClCtx unskolemized a skolem-prefixed IRI into a blank node")
 	}
 }

@@ -15,10 +15,10 @@
 // vocabulary loops (p, sp, p) for p ∈ rdfsV are in every saturated
 // base already, so they need no re-bootstrapping.
 //
-// On ground graphs skolemization is the identity, so maintaining
-// RDFS-cl maintains cl (Definition 3.5) too. With blank nodes in play
-// it does not, and callers re-saturate instead: cl is a closure
-// operator, so cl(cl(D) ∪ A) = cl(D ∪ A).
+// RDFS-cl is cl (Definition 3.5, Lemma 3.4), so maintaining one
+// maintains the other. Callers serving nf(D) = core(cl(D)) fold deltas
+// only into ground states, where nf(D) = cl(D); with blank nodes in
+// play the core must be recomputed, and they re-saturate instead.
 
 package closure
 

@@ -11,9 +11,7 @@ import (
 // FuzzDeltaClosure is the differential fuzz target for incremental
 // maintenance: arbitrary bytes decode into a random graph split into a
 // base and an insert batch, and the delta-maintained closure of the
-// saturated base must equal the from-scratch closure of the union,
-// and on ground input — where cl (Definition 3.5) is RDFS-cl — the
-// maintained Cl(base) must equal Cl of the union.
+// saturated base must equal the from-scratch closure of the union.
 //
 // Input layout: data[0] picks the base/batch split point, data[1] is
 // unused (it once chose a worker count; the checked-in corpus keeps
@@ -60,15 +58,6 @@ func FuzzDeltaClosure(f *testing.F) {
 		if got := extend(t, baseCl, batchG); !got.Equal(want) {
 			t.Fatalf("delta closure != from-scratch closure\nbase:\n%v\nbatch:\n%v\nonly-want: %v\nonly-got: %v",
 				baseG, batchG, want.Minus(got), got.Minus(want))
-		}
-
-		if !union.IsGround() {
-			return
-		}
-		wantCl := Cl(union)
-		if got := extend(t, Cl(baseG), batchG); !got.Equal(wantCl) {
-			t.Fatalf("maintained cl != Cl of union\nonly-want: %v\nonly-got: %v",
-				wantCl.Minus(got), got.Minus(wantCl))
 		}
 	})
 }

@@ -93,11 +93,16 @@ func TestClosureIdempotentRandom(t *testing.T) {
 	}
 }
 
+// TestClosureCommutesWithSkolemization is Lemma 3.4 / Theorem 3.6(2)
+// in property form: RDFS-cl(G) = (RDFS-cl(G*))⋆, so the direct
+// saturation is cl(G) of Definition 3.5. The lemma needs the skolem
+// constants c_X to be fresh; both generators draw IRIs only from plain
+// names that never carry graph.SkolemPrefix, which keeps that premise.
 func TestClosureCommutesWithSkolemization(t *testing.T) {
-	// Lemma 3.4 in property form: RDFS-cl(G) = (RDFS-cl(G*))⋆.
 	rng := rand.New(rand.NewSource(59))
-	for round := 0; round < 40; round++ {
-		g := randClosureGraph(rng, 6)
+	gens := []func(*rand.Rand, int) *graph.Graph{randClosureGraph, randVocabAsDataGraph}
+	for round := 0; round < 2000; round++ {
+		g := gens[round%2](rng, 1+rng.Intn(14))
 		direct := RDFSCl(g)
 		viaSkolem := graph.Unskolemize(RDFSCl(graph.Skolemize(g)))
 		if !direct.Equal(viaSkolem) {
@@ -143,9 +148,6 @@ func TestClosureCancellation(t *testing.T) {
 	cancel()
 	if out, err := RDFSClCtx(dead, g); err == nil || out != nil {
 		t.Fatalf("RDFSClCtx: want error on dead context, got graph=%v err=%v", out != nil, err)
-	}
-	if out, err := ClCtx(dead, g); err == nil || out != nil {
-		t.Fatalf("ClCtx: want error on dead context, got graph=%v err=%v", out != nil, err)
 	}
 
 	// Mid-run cancellation: either the engine finished first (and must

@@ -112,7 +112,7 @@ func NormalForm(g *graph.Graph) *graph.Graph {
 // saturation and the core retraction searches poll ctx and abort with
 // its error when it is cancelled.
 func NormalFormCtx(ctx context.Context, g *graph.Graph) (*graph.Graph, error) {
-	cl, err := closure.ClCtx(ctx, g)
+	cl, err := closure.RDFSClCtx(ctx, g)
 	if err != nil {
 		return nil, err
 	}

@@ -169,7 +169,7 @@ func TestExample317NormalForms(t *testing.T) {
 	if !entail.Equivalent(G, H) {
 		t.Fatal("Example 3.17: G ≡ H expected")
 	}
-	clG, clH := closure.Cl(G), closure.Cl(H)
+	clG, clH := closure.RDFSCl(G), closure.RDFSCl(H)
 	if hom.Isomorphic(clG, clH) {
 		t.Fatal("Example 3.17: closures should NOT be isomorphic")
 	}

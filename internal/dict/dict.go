@@ -11,6 +11,7 @@
 package dict
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -207,10 +208,14 @@ type Dict struct {
 	comb atomic.Pointer[view] // cached Terms/Kinds materialization
 }
 
+// emptyView is the published state of a dictionary that has interned
+// nothing. Views are never mutated after publication, so it is shared.
+var emptyView = &view{}
+
 // New returns an empty dictionary.
 func New() *Dict {
 	d := &Dict{ids: make(map[term.Term]ID)}
-	d.v.Store(&view{})
+	d.v.Store(emptyView)
 	return d
 }
 
@@ -230,15 +235,15 @@ func New() *Dict {
 // concurrent use under the same contract as a root dictionary.
 func (d *Dict) Scratch() *Dict {
 	bv := d.v.Load()
+	// ids is allocated by the first intern.
 	s := &Dict{
-		ids:  make(map[term.Term]ID),
 		off:  d.off + len(bv.terms),
 		base: d,
 	}
 	s.segs = make([]segment, 0, len(d.segs)+1)
 	s.segs = append(s.segs, d.segs...)
 	s.segs = append(s.segs, segment{lo: d.off, hi: d.off + len(bv.terms), terms: bv.terms, kinds: bv.kinds})
-	s.v.Store(&view{})
+	s.v.Store(emptyView)
 	scratchOverlays.Inc()
 	return s
 }
@@ -289,6 +294,9 @@ func (d *Dict) Intern(t term.Term) ID {
 	if id, ok := d.ids[t]; ok {
 		return id
 	}
+	if d.ids == nil {
+		d.ids = make(map[term.Term]ID)
+	}
 	old := d.v.Load()
 	nv := &view{
 		terms: append(old.terms, t),
@@ -299,6 +307,40 @@ func (d *Dict) Intern(t term.Term) ID {
 	d.v.Store(nv)
 	d.noteInterned(1)
 	return id
+}
+
+// InternAll interns every term of ts (duplicates allowed). The terms
+// new to d are published together — one view for the batch rather
+// than one per term — which keeps encoding a pattern set into a fresh
+// scratch overlay cheap.
+func (d *Dict) InternAll(ts []term.Term) {
+	if len(ts) == 0 {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.ids == nil {
+		d.ids = make(map[term.Term]ID, len(ts))
+	}
+	old := d.v.Load()
+	nv := &view{terms: slices.Grow(old.terms, len(ts)), kinds: slices.Grow(old.kinds, len(ts))}
+	for _, t := range ts {
+		if _, ok := d.ids[t]; ok {
+			continue
+		}
+		if d.base != nil {
+			if _, ok := d.base.lookupBounded(t, d.off); ok {
+				continue
+			}
+		}
+		nv.terms = append(nv.terms, t)
+		nv.kinds = append(nv.kinds, t.Kind())
+		d.ids[t] = ID(d.off + len(nv.terms))
+	}
+	if n := len(nv.terms) - len(old.terms); n > 0 {
+		d.v.Store(nv)
+		d.noteInterned(uint64(n))
+	}
 }
 
 // Lookup returns the ID of t if it has been interned (in this

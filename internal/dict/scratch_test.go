@@ -200,3 +200,45 @@ func TestScratchConcurrent(t *testing.T) {
 		t.Fatalf("scratch Len = %d, want 70", n)
 	}
 }
+
+// TestInternAllMatchesIntern: a batch interns each new term once, in
+// first-occurrence order and at the IDs one-by-one interning would
+// give, skips terms the base already resolves (a post-freeze base term
+// is re-interned privately, as Intern does), and publishes one view.
+func TestInternAllMatchesIntern(t *testing.T) {
+	base := New()
+	a := term.NewIRI("urn:a")
+	base.Intern(a)
+	s, want := base.Scratch(), base.Scratch()
+	late := term.NewIRI("urn:late")
+	base.Intern(late)
+	x, y := term.NewBlank("x"), term.NewBlank("y")
+	batch := []term.Term{x, a, y, x, late, y}
+	for _, tr := range batch {
+		want.Intern(tr)
+	}
+	before := s.v.Load()
+	s.InternAll(batch)
+	if s.Len() != want.Len() || s.Len() != base.Len()-1+3 {
+		t.Fatalf("InternAll: Len %d, one-by-one Len %d", s.Len(), want.Len())
+	}
+	for _, tr := range batch {
+		got, _ := s.Lookup(tr)
+		if w, _ := want.Lookup(tr); got != w || s.TermOf(got) != tr {
+			t.Fatalf("%v: InternAll ID %d, Intern ID %d", tr, got, w)
+		}
+	}
+	if id, _ := s.Lookup(a); id != 1 {
+		t.Fatalf("base term re-interned as %d", id)
+	}
+	if base.Len() != 2 {
+		t.Fatalf("InternAll grew the base to %d terms", base.Len())
+	}
+	if s.v.Load() == before {
+		t.Fatal("no view published")
+	}
+	s.InternAll(batch) // all known: nothing changes
+	if s.Len() != want.Len() {
+		t.Fatalf("repeated InternAll grew the overlay to %d", s.Len())
+	}
+}

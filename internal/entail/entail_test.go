@@ -98,30 +98,6 @@ func TestSimpleLHSNonSimpleRHS(t *testing.T) {
 	}
 }
 
-func TestCheckerReuse(t *testing.T) {
-	g := graph.New(
-		graph.T(iri("A"), rdfs.SubClassOf, iri("B")),
-		graph.T(iri("x"), rdfs.Type, iri("A")),
-	)
-	c := NewChecker(g)
-	if !c.Entails(graph.New(graph.T(iri("x"), rdfs.Type, iri("B")))) {
-		t.Fatal("lifting not entailed")
-	}
-	if c.Entails(graph.New(graph.T(iri("x"), rdfs.Type, iri("C")))) {
-		t.Fatal("wrong entailment")
-	}
-	mu, ok := c.Witness(graph.New(graph.T(blk("W"), rdfs.Type, iri("B"))))
-	if !ok {
-		t.Fatal("witness missing")
-	}
-	if mu.Of(blk("W")) != iri("x") {
-		t.Fatalf("witness maps W to %v", mu.Of(blk("W")))
-	}
-	if c.Closure().Len() == 0 {
-		t.Fatal("closure accessor broken")
-	}
-}
-
 func TestEquivalenceOfBlankVariants(t *testing.T) {
 	// {(a,p,b)} ≡ {(a,p,b), (X,p,b)}: the extra blank triple is
 	// redundant (maps onto the ground one).
@@ -203,7 +179,7 @@ func TestEntailsWithProofAgreesWithEntails(t *testing.T) {
 			h.Add(graph.T(names[rng.Intn(len(names))], preds[rng.Intn(len(preds))], names[rng.Intn(len(names))]))
 		}
 		semantic := Entails(g, h)
-		proof, syntactic := EntailsWithProof(g, h)
+		proof, syntactic := rdfs.Prove(g, h)
 		if semantic != syntactic {
 			t.Fatalf("round %d: ⊨ (%v) and ⊢ (%v) disagree — Theorem 2.6 violated\nG:\n%v\nH:\n%v",
 				round, semantic, syntactic, g, h)

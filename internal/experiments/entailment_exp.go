@@ -161,7 +161,8 @@ func init() {
 					[2]int{e[1], base.N + e[0]}, [2]int{base.N + e[0], e[1]})
 			}
 			data := gen.EncGround(bip, "d")
-			ix, finder := match.NewIndex(data), hom.NewFinder(data)
+			ix := match.NewIndex(data)
+			finder := hom.NewFinder(ix)
 			for _, n := range pick(cfg, []int{5, 7}, []int{5, 7, 9}) {
 				for _, cyclic := range []bool{false, true} {
 					var body *graph.Graph

@@ -215,7 +215,7 @@ func init() {
 			)
 			tbl := newTable(w, "check", "result")
 			tbl.row("Ex 3.17: G ≡ H", checkmark(entail.Equivalent(G, H)))
-			tbl.row("Ex 3.17: cl(G) ≇ cl(H)", checkmark(!hom.Isomorphic(closure.Cl(G), closure.Cl(H))))
+			tbl.row("Ex 3.17: cl(G) ≇ cl(H)", checkmark(!hom.Isomorphic(closure.RDFSCl(G), closure.RDFSCl(H))))
 			tbl.row("Ex 3.17: nf(G) ≅ nf(H)", checkmark(hom.Isomorphic(core.NormalForm(G), core.NormalForm(H))))
 
 			// Randomized rewrites.

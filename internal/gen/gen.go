@@ -211,7 +211,7 @@ func EquivalentRewrite(g *graph.Graph, seed int64) *graph.Graph {
 	out := ren.Apply(g)
 
 	// (2) add a sample of derivable triples.
-	cl := closure.Cl(out)
+	cl := closure.RDFSCl(out)
 	derivable := cl.Minus(out).Triples()
 	rng.Shuffle(len(derivable), func(i, j int) {
 		derivable[i], derivable[j] = derivable[j], derivable[i]

@@ -21,16 +21,26 @@ import (
 // fixes URIs (and literals) and moves only blanks.
 func blankUnknown(t term.Term) bool { return t.IsBlank() }
 
-// Finder performs repeated map searches into a fixed destination graph,
-// reusing one index.
+// Finder performs repeated map searches into the graph of a fixed
+// index. The terms of the searched graphs are interned into a scratch
+// overlay of the index dictionary, one overlay per Finder, so searching
+// never grows the destination's dictionary. A Finder is safe for
+// concurrent use.
 type Finder struct {
 	ix *match.Index
-	d  *dict.Dict
+	d  *dict.Dict // scratch overlay of ix.Dict()
 }
 
-// NewFinder builds a Finder for maps into dst.
-func NewFinder(dst *graph.Graph) *Finder {
-	return &Finder{ix: match.NewIndex(dst), d: dst.Dict()}
+// NewFinder builds a Finder for maps into the graph of ix.
+func NewFinder(ix *match.Index) *Finder {
+	return &Finder{ix: ix, d: ix.Dict().Scratch()}
+}
+
+// solver returns a search with blank nodes as the unknowns, interning
+// through the Finder's overlay.
+func (f *Finder) solver(opts match.Options) *match.Solver {
+	opts.IsUnknown, opts.Dict = blankUnknown, f.d
+	return match.NewSolver(f.ix, opts)
 }
 
 // Find returns a map μ with μ(src) ⊆ dst, if one exists.
@@ -42,7 +52,7 @@ func (f *Finder) Find(src *graph.Graph) (graph.Map, bool) {
 // FindCtx is Find under a context: the backtracking search polls ctx
 // periodically and aborts with its error when it is cancelled.
 func (f *Finder) FindCtx(ctx context.Context, src *graph.Graph) (graph.Map, bool, error) {
-	solver := match.NewSolver(f.ix, match.Options{IsUnknown: blankUnknown, Ctx: ctx})
+	solver := f.solver(match.Options{Ctx: ctx})
 	b, ok, _ := solver.First(src.Triples())
 	if err := solver.Err(); err != nil {
 		return nil, false, err
@@ -57,8 +67,7 @@ func (f *Finder) FindCtx(ctx context.Context, src *graph.Graph) (graph.Map, bool
 // false when the budget was exhausted before the search space was covered
 // (the answer is then inconclusive if no map was found).
 func (f *Finder) FindBudget(src *graph.Graph, maxSteps int) (graph.Map, bool, bool) {
-	solver := match.NewSolver(f.ix, match.Options{IsUnknown: blankUnknown, MaxSteps: maxSteps})
-	b, ok, complete := solver.First(src.Triples())
+	b, ok, complete := f.solver(match.Options{MaxSteps: maxSteps}).First(src.Triples())
 	if !ok {
 		return nil, false, complete
 	}
@@ -68,8 +77,12 @@ func (f *Finder) FindBudget(src *graph.Graph, maxSteps int) (graph.Map, bool, bo
 // Enumerate yields every map μ with μ(src) ⊆ dst until yield returns
 // false. It reports whether the enumeration covered the full space.
 func (f *Finder) Enumerate(src *graph.Graph, yield func(graph.Map) bool) bool {
-	solver := match.NewSolver(f.ix, match.Options{IsUnknown: blankUnknown})
-	return solver.Solve(src.Triples(), func(b match.Binding) bool {
+	return f.enumerate(src, match.Options{}, yield)
+}
+
+// enumerate is Enumerate under extra search options.
+func (f *Finder) enumerate(src *graph.Graph, opts match.Options, yield func(graph.Map) bool) bool {
+	return f.solver(opts).Solve(src.Triples(), func(b match.Binding) bool {
 		return yield(bindingToMap(b, f.d))
 	})
 }
@@ -82,12 +95,12 @@ func bindingToMap(b match.Binding, d *dict.Dict) graph.Map {
 // FindMap returns a map μ : src → dst (i.e. μ(src) ⊆ dst), if one exists.
 // This is the paper's overloaded "map μ : G1 → G2" (Section 2.1).
 func FindMap(src, dst *graph.Graph) (graph.Map, bool) {
-	return NewFinder(dst).Find(src)
+	return NewFinder(match.NewIndex(dst)).Find(src)
 }
 
 // FindMapCtx is FindMap under a context (see Finder.FindCtx).
 func FindMapCtx(ctx context.Context, src, dst *graph.Graph) (graph.Map, bool, error) {
-	return NewFinder(dst).FindCtx(ctx, src)
+	return NewFinder(match.NewIndex(dst)).FindCtx(ctx, src)
 }
 
 // ExistsMap reports whether there is a map src → dst.
@@ -99,7 +112,7 @@ func ExistsMap(src, dst *graph.Graph) bool {
 // AllMaps returns every map src → dst, up to limit (0 = no limit).
 func AllMaps(src, dst *graph.Graph, limit int) []graph.Map {
 	var out []graph.Map
-	NewFinder(dst).Enumerate(src, func(m graph.Map) bool {
+	NewFinder(match.NewIndex(dst)).Enumerate(src, func(m graph.Map) bool {
 		out = append(out, m)
 		return limit == 0 || len(out) < limit
 	})
@@ -110,7 +123,7 @@ func AllMaps(src, dst *graph.Graph, limit int) []graph.Map {
 // (0 = no limit).
 func CountMaps(src, dst *graph.Graph, limit int) int {
 	n := 0
-	NewFinder(dst).Enumerate(src, func(graph.Map) bool {
+	NewFinder(match.NewIndex(dst)).Enumerate(src, func(graph.Map) bool {
 		n++
 		return limit == 0 || n < limit
 	})
@@ -175,15 +188,13 @@ func Automorphisms(g *graph.Graph, limit int) []graph.Map {
 func bijections(g1, g2 *graph.Graph, yield func(graph.Map) bool) {
 	blanks := g2.BlankIDs()
 	opts := match.Options{
-		IsUnknown: blankUnknown,
 		Injective: true,
 		Admissible: func(_, value dict.ID) bool {
 			_, ok := blanks[value]
 			return ok
 		},
 	}
-	match.Solve(g1.Triples(), g2, opts, func(b match.Binding) bool {
-		m := bindingToMap(b, g2.Dict())
+	NewFinder(match.NewIndex(g2)).enumerate(g1, opts, func(m graph.Map) bool {
 		return !m.Apply(g1).Equal(g2) || yield(m)
 	})
 }

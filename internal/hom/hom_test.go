@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"semwebdb/internal/graph"
+	"semwebdb/internal/match"
 	"semwebdb/internal/term"
 )
 
@@ -216,26 +217,46 @@ func TestAutomorphisms(t *testing.T) {
 	}
 }
 
+// TestFinderReuse: one Finder answers repeated searches with checked
+// witnesses, and interns the searched graphs' terms into its own
+// overlay — never into the destination's dictionary.
 func TestFinderReuse(t *testing.T) {
 	dst := encClique(3)
-	f := NewFinder(dst)
+	dst.Add(graph.T(iri("k0"), iri("type"), iri("B")))
+	terms := dst.Dict().Len()
+	f := NewFinder(match.NewIndex(dst))
 	for n := 3; n <= 6; n++ {
-		if _, ok := f.Find(encCycle(n, "c")); !ok {
-			t.Errorf("C_%d → K_3 via reused finder failed", n)
+		src := encCycle(n, "c")
+		mu, ok := f.Find(src)
+		if !ok {
+			t.Fatalf("C_%d → K_3 via reused finder failed", n)
 		}
+		if !mu.Apply(src).SubgraphOf(dst) {
+			t.Fatalf("C_%d: witness %v does not map into K_3", n, mu)
+		}
+	}
+	mu, ok := f.Find(graph.New(graph.T(blk("W"), iri("type"), iri("B"))))
+	if !ok || mu.Of(blk("W")) != iri("k0") {
+		t.Fatalf("witness maps W to %v (found %v), want k0", mu.Of(blk("W")), ok)
+	}
+	if _, ok := f.Find(graph.New(graph.T(blk("W"), iri("type"), iri("C")))); ok {
+		t.Fatal("map into an absent class found")
+	}
+	if n := dst.Dict().Len(); n != terms {
+		t.Fatalf("searches grew the destination dictionary %d -> %d", terms, n)
 	}
 }
 
 func TestFindBudget(t *testing.T) {
 	// Exhaust the budget on a hard unsatisfiable instance: K_5 → K_4.
-	_, found, complete := NewFinder(encClique(4)).FindBudget(encCliqueBlank(5, "x"), 10)
+	_, found, complete := NewFinder(match.NewIndex(encClique(4))).FindBudget(encCliqueBlank(5, "x"), 10)
 	if found {
 		t.Fatal("impossible map found")
 	}
 	if complete {
 		t.Fatal("tiny budget cannot complete K_5 → K_4 search")
 	}
-	_, found2, complete2 := NewFinder(encClique(4)).FindBudget(encCliqueBlank(4, "x"), 1_000_000)
+	_, found2, complete2 := NewFinder(match.NewIndex(encClique(4))).FindBudget(encCliqueBlank(4, "x"), 1_000_000)
 	if !found2 || !complete2 {
 		t.Fatalf("K_4 → K_4: found=%v complete=%v", found2, complete2)
 	}
@@ -245,7 +266,7 @@ func TestEnumerateEarlyStop(t *testing.T) {
 	dst := encClique(3)
 	src := graph.New(graph.T(blk("X"), iri("e"), blk("Y")))
 	n := 0
-	NewFinder(dst).Enumerate(src, func(graph.Map) bool {
+	NewFinder(match.NewIndex(dst)).Enumerate(src, func(graph.Map) bool {
 		n++
 		return n < 2
 	})

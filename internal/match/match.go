@@ -235,12 +235,26 @@ func (s *Solver) interrupted() bool {
 // encode interns the patterns into the solver's dictionary (Options.Dict
 // if set, otherwise the data dictionary) and records which pattern IDs
 // are unknowns. Ground pattern terms absent from the data receive fresh
-// IDs that match no triple, which is the correct failure.
+// IDs that match no triple, which is the correct failure. Terms new to
+// the dictionary are interned in one batch first, so the per-position
+// interning below only looks IDs up.
 func (s *Solver) encode(patterns []graph.Triple) []dict.Triple3 {
 	d := s.opts.Dict
 	if d == nil {
 		d = s.ix.Dict()
 	}
+	var fresh []term.Term
+	for _, p := range patterns {
+		for _, x := range p.Terms() {
+			if _, ok := d.Lookup(x); !ok {
+				if fresh == nil {
+					fresh = make([]term.Term, 0, 3*len(patterns))
+				}
+				fresh = append(fresh, x)
+			}
+		}
+	}
+	d.InternAll(fresh)
 	s.unknown = make(map[dict.ID]bool)
 	out := make([]dict.Triple3, len(patterns))
 	for i, p := range patterns {

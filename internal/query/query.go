@@ -270,7 +270,7 @@ func Universe(ctx context.Context, q *Query, d *graph.Graph, skipNF bool) (*matc
 // EvaluatePreparedIndexCtx or StreamPreparedIndexCtx.
 func Prepare(ctx context.Context, d *graph.Graph, skipNormalForm bool) (*graph.Graph, error) {
 	if skipNormalForm {
-		return closure.ClCtx(ctx, d)
+		return closure.RDFSClCtx(ctx, d)
 	}
 	return core.NormalFormCtx(ctx, d)
 }

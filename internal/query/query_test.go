@@ -540,3 +540,37 @@ func TestSingleAnswerDedupCollapsesMultisetHeads(t *testing.T) {
 		}
 	}
 }
+
+// TestPrepareKeepsSkolemPrefixedIRIs: the matching universe of a
+// non-ground database is its own RDFS-cl (or the core of it), with no
+// skolemize/unskolemize round trip — that round trip would read an
+// IRI that merely carries graph.SkolemPrefix as a skolem constant and
+// turn it into a blank node. Under both flags the IRI stays an IRI,
+// its asserted triples stay in the universe, and no blank named after
+// it is interned.
+func TestPrepareKeepsSkolemPrefixedIRIs(t *testing.T) {
+	skolemLike := iri(graph.SkolemPrefix + "x")
+	for _, skipNF := range []bool{true, false} {
+		d := graph.New(
+			graph.T(blk("y"), iri("p"), iri("o")),
+			graph.T(skolemLike, iri("q"), iri("o")),
+			graph.T(skolemLike, rdfs.Type, iri("A")),
+			graph.T(iri("A"), rdfs.SubClassOf, iri("B")),
+		)
+		u, err := Prepare(context.Background(), d, skipNF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []graph.Triple{
+			graph.T(skolemLike, iri("q"), iri("o")),
+			graph.T(skolemLike, rdfs.Type, iri("B")),
+		} {
+			if !u.Has(want) {
+				t.Fatalf("skipNF=%v: universe lacks %v:\n%v", skipNF, want, u)
+			}
+		}
+		if _, ok := d.Dict().Lookup(blk("x")); ok {
+			t.Fatalf("skipNF=%v: the skolem-prefixed IRI was unskolemized into a blank node", skipNF)
+		}
+	}
+}

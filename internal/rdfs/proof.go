@@ -74,37 +74,31 @@ func (p *Proof) Verify(g, h *graph.Graph) error {
 	return nil
 }
 
-// derivation holds the forward-chaining state used to build proofs: for
-// every derived triple, the instantiation that first produced it.
-type derivation struct {
-	closure *graph.Graph
-	origin  map[graph.Triple]Instantiation // only for derived (non-input) triples
-	order   []graph.Triple                 // derivation order of derived triples
-}
-
-// forwardChain saturates g under rules (2)–(13), recording provenance.
-func forwardChain(g *graph.Graph) *derivation {
-	d := &derivation{
-		closure: g.Clone(),
-		origin:  make(map[graph.Triple]Instantiation),
-	}
+// Saturate returns RDFS-cl(g) by the round-based fixpoint of
+// Definition 2.7: every instantiation of rules (2)–(13) over the
+// current graph is enumerated, its new conclusions are added, and the
+// rounds repeat until none is new. The result shares g's dictionary.
+// When derived is non-nil it is called once per triple not in g, in
+// derivation order, with the instantiation that first produced it —
+// the provenance Prove builds proofs from.
+func Saturate(g *graph.Graph, derived func(graph.Triple, Instantiation)) *graph.Graph {
+	out := g.Clone()
 	for {
 		added := false
-		for _, inst := range AllInstantiations(d.closure) {
+		for _, inst := range AllInstantiations(out) {
+			// All conclusions of a multi-conclusion rule share one
+			// instantiation, which is recorded for each new triple.
 			for _, c := range inst.Conclusions {
-				if d.closure.Has(c) {
-					continue
+				if out.Add(c) {
+					added = true
+					if derived != nil {
+						derived(c, inst)
+					}
 				}
-				// All conclusions of a multi-conclusion rule share one
-				// instantiation; record it for each new triple.
-				d.closure.MustAdd(c)
-				d.origin[c] = inst
-				d.order = append(d.order, c)
-				added = true
 			}
 		}
 		if !added {
-			return d
+			return out
 		}
 	}
 }
@@ -116,8 +110,13 @@ func forwardChain(g *graph.Graph) *derivation {
 // μ, followed by a single existential step. The proof is trimmed to the
 // steps actually needed (backward reachability over provenance).
 func Prove(g, h *graph.Graph) (*Proof, bool) {
-	d := forwardChain(g)
-	mu, ok := findMapInto(h, d.closure)
+	origin := make(map[graph.Triple]Instantiation) // derived (non-input) triples only
+	var order []graph.Triple                       // derivation order of derived triples
+	cl := Saturate(g, func(t graph.Triple, inst Instantiation) {
+		origin[t] = inst
+		order = append(order, t)
+	})
+	mu, ok := hom.FindMap(h, cl)
 	if !ok {
 		return nil, false
 	}
@@ -130,7 +129,7 @@ func Prove(g, h *graph.Graph) (*Proof, bool) {
 		if g.Has(t) || needed[t] {
 			return
 		}
-		inst, isDerived := d.origin[t]
+		inst, isDerived := origin[t]
 		if !isDerived {
 			return
 		}
@@ -146,11 +145,11 @@ func Prove(g, h *graph.Graph) (*Proof, bool) {
 
 	proof := &Proof{}
 	emitted := make(map[graph.Triple]bool)
-	for _, t := range d.order { // derivation order respects dependencies
+	for _, t := range order { // derivation order respects dependencies
 		if !needed[t] || emitted[t] {
 			continue
 		}
-		inst := d.origin[t]
+		inst := origin[t]
 		proof.Steps = append(proof.Steps, Step{Rule: inst.Rule, Inst: inst})
 		for _, c := range inst.Conclusions {
 			emitted[c] = true
@@ -162,9 +161,4 @@ func Prove(g, h *graph.Graph) (*Proof, bool) {
 		Mu:     mu,
 	})
 	return proof, true
-}
-
-// findMapInto searches a map μ : src → dst via the shared engine.
-func findMapInto(src, dst *graph.Graph) (graph.Map, bool) {
-	return hom.FindMap(src, dst)
 }

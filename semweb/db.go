@@ -11,8 +11,8 @@ import (
 	"semwebdb/internal/canon"
 	"semwebdb/internal/closure"
 	"semwebdb/internal/dict"
-	"semwebdb/internal/entail"
 	"semwebdb/internal/graph"
+	"semwebdb/internal/hom"
 	"semwebdb/internal/match"
 	"semwebdb/internal/obs"
 	"semwebdb/internal/persist"
@@ -570,11 +570,13 @@ func (db *DB) fullPrepare(ctx context.Context, nf bool) (*preparedState, error) 
 	return st, nil
 }
 
-// scratchView returns the given snapshot behind a fresh scratch-overlay
+// scratchView returns the given graph behind a fresh scratch-overlay
 // dictionary: derivations from it (closures, normal forms, merges,
-// answers) intern into the overlay, never into the database's shared
-// dictionary, which is how read operations keep Stats' DictTerms
-// fixed. The view is read-only and cheap (no triple is copied).
+// answers) intern into the overlay, never into the graph's own
+// dictionary, which is how read operations keep Stats' DictTerms fixed
+// and how the package-level paper operations leave their arguments'
+// dictionaries untouched. The view is read-only and cheap (no triple
+// is copied).
 func scratchView(g *graph.Graph) *graph.Graph {
 	return g.WithDict(g.Dict().Scratch())
 }
@@ -1070,33 +1072,21 @@ func (p *queryPlan) observe(rows int, truncated bool) {
 }
 
 // Entails reports D ⊨ h: whether h, blank nodes as unknowns, maps into
-// the prepared cl(D) (Theorem 2.8). h's terms are interned into a
-// scratch overlay.
+// the prepared cl(D) (Theorem 2.8). The hom.Finder search interns h's
+// terms into a scratch overlay.
 func (db *DB) Entails(ctx context.Context, h *Graph) (bool, error) {
 	st, _, err := db.universe(ctx, false)
 	if err != nil {
 		return false, err
 	}
-	return entailsIn(ctx, st, h)
-}
-
-// entailsIn decides D ⊨ h against the prepared cl(D) st.
-func entailsIn(ctx context.Context, st *preparedState, h *Graph) (bool, error) {
-	s := match.NewSolver(st.ix, match.Options{
-		IsUnknown: Term.IsBlank,
-		Dict:      st.ix.Dict().Scratch(),
-		Ctx:       ctx,
-	})
-	_, ok, _ := s.First(h.Triples())
-	return ok, wrapEngineError(s.Err())
+	_, ok, err := hom.NewFinder(st.ix).FindCtx(ctx, h)
+	return ok, wrapEngineError(err)
 }
 
 // Prove decides D ⊨ h and returns a checked derivation when it holds.
-// Both sides run on scratch overlays, so neither the database nor h
-// gains terms.
-func (db *DB) Prove(h *Graph) (*Proof, bool) {
-	return Prove(scratchView(db.snapshot()), scratchView(h))
-}
+// Like the package-level Prove it runs on scratch overlays, so neither
+// the database nor h gains terms.
+func (db *DB) Prove(h *Graph) (*Proof, bool) { return Prove(db.snapshot(), h) }
 
 // Equivalent reports D ≡ h: Entails, then h ⊨ D over a scratch overlay
 // of h's dictionary, so h gains no terms from D or from cl(h).
@@ -1111,11 +1101,10 @@ func (db *DB) Equivalent(ctx context.Context, h *Graph) (bool, error) {
 // equivalentIn decides D ≡ h for the snapshot D the prepared cl(D) st
 // covers, so both halves read one snapshot.
 func equivalentIn(ctx context.Context, st *preparedState, h *Graph) (bool, error) {
-	if ok, err := entailsIn(ctx, st, h); !ok || err != nil {
-		return false, err
+	if _, ok, err := hom.NewFinder(st.ix).FindCtx(ctx, h); !ok || err != nil {
+		return false, wrapEngineError(err)
 	}
-	ok, err := entail.EntailsCtx(ctx, scratchView(h), st.base)
-	return ok, wrapEngineError(err)
+	return Entails(ctx, h, st.base)
 }
 
 // Closure returns cl(D): an independent copy of the prepared cl(D) on a
@@ -1155,7 +1144,7 @@ func (db *DB) MinimalRepresentation() (*Graph, error) {
 // Canonical returns D with canonically relabelled blank nodes. The
 // result lives on a scratch overlay: the canonical labels are not
 // interned into the shared dictionary.
-func (db *DB) Canonical() *Graph { return Canonicalize(scratchView(db.snapshot())) }
+func (db *DB) Canonical() *Graph { return Canonicalize(db.snapshot()) }
 
 // Fingerprint returns the equivalence certificate of D: the canonical
 // serialization of the prepared nf(D).

@@ -92,7 +92,7 @@ func NTriples(g *Graph) string { return ntriples.SerializeString(g) }
 
 // Isomorphic reports G1 ≅ G2: a blank-renaming bijection carrying G1
 // exactly onto G2 (Section 2.1).
-func Isomorphic(g1, g2 *Graph) bool { return hom.Isomorphic(g1, g2) }
+func Isomorphic(g1, g2 *Graph) bool { return hom.Isomorphic(scratchView(g1), scratchView(g2)) }
 
 // FindMap returns a map μ with μ(src) ⊆ dst, if one exists — the
 // homomorphism primitive behind the entailment characterization of
@@ -103,7 +103,7 @@ func FindMap(src, dst *Graph) (Map, bool) { return hom.FindMap(src, dst) }
 // in a canonical order: two graphs are isomorphic iff their
 // canonicalizations are equal, so the result is an isomorphism
 // certificate.
-func Canonicalize(g *Graph) *Graph { return canon.Canonicalize(g) }
+func Canonicalize(g *Graph) *Graph { return canon.Canonicalize(scratchView(g)) }
 
 // IsSimple reports whether g is a simple RDF graph (Definition 2.2): it
 // mentions none of the rdfs-vocabulary.
@@ -113,24 +113,24 @@ func IsSimple(g *Graph) bool { return rdfs.IsSimple(g) }
 // h → cl(g) exists). The search honors ctx cancellation; on
 // cancellation the error wraps ErrCancelled.
 func Entails(ctx context.Context, g, h *Graph) (bool, error) {
-	ok, err := entail.EntailsCtx(ctx, g, h)
+	ok, err := entail.EntailsCtx(ctx, scratchView(g), h)
 	return ok, wrapEngineError(err)
 }
 
 // Equivalent reports g ≡ h, i.e. g ⊨ h and h ⊨ g.
 func Equivalent(ctx context.Context, g, h *Graph) (bool, error) {
-	ok, err := entail.EquivalentCtx(ctx, g, h)
+	ok, err := entail.EquivalentCtx(ctx, scratchView(g), scratchView(h))
 	return ok, wrapEngineError(err)
 }
 
 // Prove decides g ⊨ h and, when it holds, returns a checked derivation
 // in the deductive system of Section 2.3.2 (Definition 2.5).
-func Prove(g, h *Graph) (*Proof, bool) { return entail.EntailsWithProof(g, h) }
+func Prove(g, h *Graph) (*Proof, bool) { return rdfs.Prove(scratchView(g), scratchView(h)) }
 
 // Closure returns cl(g), the closure of Definition 3.5: every triple
 // RDFS-entailed by g that is well formed over g's universe.
 func Closure(ctx context.Context, g *Graph) (*Graph, error) {
-	cl, err := closure.ClCtx(ctx, g)
+	cl, err := closure.RDFSClCtx(ctx, scratchView(g))
 	return cl, wrapEngineError(err)
 }
 
@@ -138,14 +138,14 @@ func Closure(ctx context.Context, g *Graph) (*Graph, error) {
 // of g (Theorem 3.10). The computation is coNP-hard in general
 // (Theorem 3.12); pass a cancellable ctx for adversarial inputs.
 func CoreOf(ctx context.Context, g *Graph) (*Graph, error) {
-	c, _, err := core.CoreCtx(ctx, g)
+	c, _, err := core.CoreCtx(ctx, scratchView(g))
 	return c, wrapEngineError(err)
 }
 
 // NormalForm returns nf(g) = core(cl(g)) (Definition 3.18) — the unique
 // syntax-independent normal form of Theorem 3.19.
 func NormalForm(ctx context.Context, g *Graph) (*Graph, error) {
-	nf, err := core.NormalFormCtx(ctx, g)
+	nf, err := core.NormalFormCtx(ctx, scratchView(g))
 	return nf, wrapEngineError(err)
 }
 
@@ -166,7 +166,7 @@ func SameNormalForm(ctx context.Context, g, h *Graph) (bool, error) {
 // IsLean reports whether g is lean (Definition 3.7): no map sends g to
 // a proper subgraph of itself.
 func IsLean(ctx context.Context, g *Graph) (bool, error) {
-	lean, err := core.IsLeanCtx(ctx, g)
+	lean, err := core.IsLeanCtx(ctx, scratchView(g))
 	return lean, wrapEngineError(err)
 }
 
@@ -187,6 +187,6 @@ func MinimalRepresentation(g *Graph) (*Graph, error) {
 // serialization of nf(g). Two graphs are semantically equivalent iff
 // their fingerprints are equal strings.
 func Fingerprint(ctx context.Context, g *Graph) (string, error) {
-	fp, err := core.FingerprintCtx(ctx, g)
+	fp, err := core.FingerprintCtx(ctx, scratchView(g))
 	return fp, wrapEngineError(err)
 }

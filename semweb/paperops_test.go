@@ -15,6 +15,7 @@ import (
 	"semwebdb/internal/closure"
 	"semwebdb/internal/entail"
 	"semwebdb/internal/gen"
+	"semwebdb/internal/graph"
 )
 
 // blankTriples returns n random triples whose subjects and objects are
@@ -144,14 +145,10 @@ func checkPaperOps(t *testing.T, db *DB, v deltaVocab, step string) {
 		t.Fatalf("%s: Fingerprint (%v) differs from the from-scratch one", step, err)
 	}
 
-	// The from-scratch D ⊨ · decision, closing D once per step.
-	fromD, err := entail.NewCheckerCtx(ctx, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The from-scratch D ⊨ · decision: RDFS-cl(D) plus one map search.
 	checkEntails := func(h *Graph) {
 		t.Helper()
-		_, want, err := fromD.WitnessCtx(ctx, h)
+		want, err := entail.EntailsCtx(ctx, g, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +407,10 @@ func TestPaperOpsShareThePreparedUniverse(t *testing.T) {
 // TestEquivalentKeepsArgumentDictionary: Equivalent's h ⊨ D half
 // encodes D against h's closure, and Prove maps D's terms into h's
 // derivation, which must both happen on an overlay — the caller's h
-// gains no terms from D or from the RDFS vocabulary.
+// gains no terms from D or from the RDFS vocabulary. The package-level
+// operations keep the same rule for their arguments: given a
+// db.Graph() copy, which shares the database dictionary, none of them
+// may grow Stats().DictTerms.
 func TestEquivalentKeepsArgumentDictionary(t *testing.T) {
 	v := deltaVocab{rand.New(rand.NewSource(3))}
 	db, err := Open()
@@ -438,6 +438,47 @@ func TestEquivalentKeepsArgumentDictionary(t *testing.T) {
 	}
 	if got := h.Dict().Len(); got != before {
 		t.Fatalf("Prove grew h's dictionary %d -> %d", before, got)
+	}
+
+	ctx := context.Background()
+	hb := NewGraph(T(Blank("w"), ts[0].P, ts[0].O))
+	for _, op := range []struct {
+		name string
+		run  func(g *Graph) error
+	}{
+		{"Closure", func(g *Graph) error { _, err := Closure(ctx, g); return err }},
+		{"NormalForm", func(g *Graph) error { _, err := NormalForm(ctx, g); return err }},
+		{"Fingerprint", func(g *Graph) error { _, err := Fingerprint(ctx, g); return err }},
+		{"SameNormalForm", func(g *Graph) error { _, err := SameNormalForm(ctx, g, hb); return err }},
+		{"Prove", func(g *Graph) error { Prove(g, hb); Prove(hb, g); return nil }},
+		{"Entails", func(g *Graph) error { _, err := Entails(ctx, g, hb); return err }},
+		{"Equivalent", func(g *Graph) error { _, err := Equivalent(ctx, g, hb); return err }},
+		{"FindMap", func(g *Graph) error { FindMap(hb, g); return nil }},
+		{"Canonicalize", func(g *Graph) error { Canonicalize(g); return nil }},
+		{"CoreOf", func(g *Graph) error { _, err := CoreOf(ctx, g); return err }},
+		{"IsLean", func(g *Graph) error { _, err := IsLean(ctx, g); return err }},
+		{"Isomorphic", func(g *Graph) error {
+			if !Isomorphic(g, NewGraph(ts[1], T(Blank("z"), ts[0].P, ts[0].O))) {
+				return fmt.Errorf("a blank renaming is not isomorphic")
+			}
+			return nil
+		}},
+		{"MinimalRepresentation", func(g *Graph) error { MinimalRepresentation(g); return nil }},
+	} {
+		// A fresh two-triple database per operation, so no earlier
+		// operation's growth can mask this one's.
+		db, err := Open(WithGraph(NewGraph(ts[1], T(Blank("b"), ts[0].P, ts[0].O))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := db.Stats().DictTerms
+		if err := op.run(db.Graph()); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if got := db.Stats().DictTerms; got != before {
+			t.Errorf("%s grew the database dictionary of its db.Graph() argument %d -> %d", op.name, before, got)
+		}
+		db.Close()
 	}
 }
 
@@ -530,4 +571,53 @@ func BenchmarkDBOps(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestSkolemPrefixedIRIsStayIRIs: an IRI that merely carries the skolem
+// prefix is an ordinary IRI of D. cl(D) is RDFS-cl(D) itself, so on a
+// ground or non-ground database, under either matching universe,
+// Closure keeps D's asserted triple, Infers and Entails accept it, Eval
+// answers with the IRI, and no blank node takes its place — and the
+// package-level Closure agrees.
+func TestSkolemPrefixedIRIsStayIRIs(t *testing.T) {
+	ctx := context.Background()
+	sk, q, o := IRI(graph.SkolemPrefix+"x"), IRI("urn:q"), IRI("urn:o")
+	asserted, impostor := T(sk, q, o), T(Blank("x"), q, o)
+	for _, ground := range []bool{true, false} {
+		first := T(IRI("urn:y"), IRI("urn:p"), o)
+		if !ground {
+			first = T(Blank("y"), IRI("urn:p"), o)
+		}
+		g := NewGraph(first, asserted)
+		for _, opts := range [][]Option{nil, {WithoutNormalForm()}} {
+			name := fmt.Sprintf("ground=%v/options=%d", ground, len(opts))
+			db, err := Open(append([]Option{WithGraph(g)}, opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := db.Closure(ctx)
+			if err != nil || !cl.Has(asserted) || cl.Has(impostor) {
+				t.Errorf("%s: Closure (%v) has asserted %v, impostor %v", name, err, cl.Has(asserted), cl.Has(impostor))
+			}
+			if !db.Infers(asserted) {
+				t.Errorf("%s: Infers of an asserted triple is false", name)
+			}
+			if ok, err := db.Entails(ctx, NewGraph(asserted)); err != nil || !ok {
+				t.Errorf("%s: Entails of an asserted triple = %v (%v)", name, ok, err)
+			}
+			X, Y := Var("X"), Var("Y")
+			ans, err := db.Eval(ctx, NewQuery().Head(T(X, q, Y)).Body(T(X, q, Y)))
+			if err != nil {
+				t.Fatalf("%s: Eval: %v", name, err)
+			}
+			if !ans.Graph().Has(asserted) || ans.Graph().Has(impostor) {
+				t.Errorf("%s: Eval answered\n%v", name, ans.NTriples())
+			}
+			db.Close()
+		}
+		cl, err := Closure(ctx, g)
+		if err != nil || !cl.Has(asserted) || cl.Has(impostor) {
+			t.Errorf("ground=%v: package-level Closure (%v) has asserted %v, impostor %v", ground, err, cl.Has(asserted), cl.Has(impostor))
+		}
+	}
 }
