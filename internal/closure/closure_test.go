@@ -220,6 +220,28 @@ func TestSemiNaiveEqualsNaiveRandom(t *testing.T) {
 	}
 }
 
+func TestClEqualsRDFSCl(t *testing.T) {
+	// Lemma 3.4 / Theorem 3.6(2): cl(G) of Definition 3.5, spelled out as
+	// (RDFS-cl(G*))⋆, coincides with the direct saturation RDFS-cl(G).
+	rng := rand.New(rand.NewSource(11))
+	preds := []term.Term{rdfs.SubClassOf, rdfs.SubPropertyOf, rdfs.Type, rdfs.Domain, rdfs.Range, iri("p")}
+	names := []term.Term{iri("a"), iri("b"), blk("x"), blk("y"), blk("z")}
+	for round := 0; round < 60; round++ {
+		g := graph.New()
+		for k := 0; k < 7; k++ {
+			g.Add(graph.T(
+				names[rng.Intn(len(names))],
+				preds[rng.Intn(len(preds))],
+				names[rng.Intn(len(names))],
+			))
+		}
+		cl := graph.Unskolemize(RDFSCl(graph.Skolemize(g)))
+		if !cl.Equal(RDFSCl(g)) {
+			t.Fatalf("round %d: cl(G) ≠ RDFS-cl(G) on\n%v", round, g)
+		}
+	}
+}
+
 func TestClosureIdempotent(t *testing.T) {
 	g := graph.New(
 		graph.T(iri("a"), rdfs.SubClassOf, iri("b")),
