@@ -14,10 +14,10 @@ import (
 // itself can vanish on crash). Within the function performing such a
 // rename the analyzer requires, in statement order:
 //
-//   - before the rename: a (*os.File).Sync call, or a call to one of
-//     the repo's write-and-sync helpers (a function whose name
-//     contains "Synced": writeFileSynced, copyFileSynced,
-//     writeSnapshotSynced, …);
+//   - before the rename: a (*os.File).Sync call (persist's
+//     installFile syncs its tmp file itself), or a call to a
+//     write-and-sync helper (a function whose name contains "Synced",
+//     such as persist's writeSnapshotSynced);
 //   - after the rename (deferred calls count as "after"): a call to a
 //     directory-fsync helper (name containing "syncDir"/"SyncDir") or
 //     another (*os.File).Sync.

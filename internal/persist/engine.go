@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -50,6 +51,9 @@ const DefaultCompactThreshold = 64 << 20
 type Engine struct {
 	dir  string
 	opts Options
+	// applier applies AppendFrames' records; like the log it feeds, it
+	// is touched only by the owner's serialized mutations.
+	applier *applier
 
 	mu        sync.Mutex // guards the fields below against Stats readers
 	wal       *WAL       // guarded by mu
@@ -76,43 +80,18 @@ func Open(dir string, opts Options) (*Engine, *dict.Dict, *graph.Graph, error) {
 		return nil, nil, nil, err
 	}
 	e := &Engine{dir: dir, opts: opts, gen: newGeneration(), tailCh: make(chan struct{})}
-
-	var (
-		d   *dict.Dict
-		g   *graph.Graph
-		err error
-	)
-	snapPath := filepath.Join(dir, SnapshotFile)
-	if f, ferr := os.Open(snapPath); ferr == nil {
-		st, serr := f.Stat()
-		if serr != nil {
-			f.Close()
-			return nil, nil, nil, serr
-		}
-		t0 := time.Now()
-		d, g, err = ReadSnapshot(bufio.NewReaderSize(f, 1<<20))
-		f.Close()
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%s: %w", snapPath, err)
-		}
-		snapshotOpenSeconds.ObserveSince(t0)
-		e.snapBytes = st.Size()
-	} else if os.IsNotExist(ferr) {
-		d = dict.New()
-		g = graph.NewWithDict(d)
-	} else {
-		return nil, nil, nil, ferr
-	}
-
-	wal, err := OpenWAL(filepath.Join(dir, WALFile), d, g, !opts.NoSync)
+	d, g, snapBytes, err := recoverState(dir, func(d *dict.Dict, g *graph.Graph) (err error) {
+		e.wal, err = OpenWAL(filepath.Join(dir, WALFile), d, g, !opts.NoSync)
+		return err
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	e.wal = wal
+	e.snapBytes = snapBytes
 
-	if opts.CompactThreshold > 0 && wal.Size()-walHeaderSize > opts.CompactThreshold {
+	if opts.CompactThreshold > 0 && e.wal.Size()-walHeaderSize > opts.CompactThreshold {
 		if err := e.Compact(g); err != nil {
-			wal.Close()
+			e.wal.Close()
 			return nil, nil, nil, err
 		}
 	}
@@ -154,52 +133,78 @@ func openReadOnlyOnce(dir string) (*dict.Dict, *graph.Graph, Stats, error) {
 	} else if !fi.IsDir() {
 		return nil, nil, stats, fmt.Errorf("persist: %s is not a directory", dir)
 	}
-
-	d := dict.New()
-	var g *graph.Graph
-	snapPath := filepath.Join(dir, SnapshotFile)
-	haveSnap := false
-	if f, err := os.Open(snapPath); err == nil {
-		st, serr := f.Stat()
-		if serr != nil {
-			f.Close()
-			return nil, nil, stats, serr
+	haveWAL := false
+	d, g, snapBytes, err := recoverState(dir, func(d *dict.Dict, g *graph.Graph) error {
+		walPath := filepath.Join(dir, WALFile)
+		f, err := os.Open(walPath)
+		if os.IsNotExist(err) {
+			return nil
+		} else if err != nil {
+			return err
 		}
+		defer f.Close()
+		haveWAL = true
+		st, err := f.Stat()
+		if err != nil || st.Size() < walHeaderSize {
+			return err
+		}
+		res, err := ReplayWAL(f, d, g)
+		if err != nil {
+			return fmt.Errorf("%s: %w", walPath, err)
+		}
+		stats.WALBytes = res.Valid - walHeaderSize
+		stats.WALRecords = res.Records
+		return nil
+	})
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	// A snapshot that decoded is never empty, so zero bytes means none.
+	if snapBytes == 0 && !haveWAL {
+		return nil, nil, stats, fmt.Errorf("persist: %s holds no database (no %s or %s)", dir, SnapshotFile, WALFile)
+	}
+	stats.SnapshotBytes = snapBytes
+	return d, g, stats, nil
+}
+
+// recoverState is the recovery step Open and OpenReadOnly share: it
+// decodes dir's snapshot — an empty state when there is none — and
+// hands the state to replayWAL, which replays the log beside it (each
+// opener opens the log its own way). It returns the recovered state
+// and the snapshot's size in bytes (0 when there is none).
+func recoverState(dir string, replayWAL func(*dict.Dict, *graph.Graph) error) (*dict.Dict, *graph.Graph, int64, error) {
+	var (
+		d         *dict.Dict
+		g         *graph.Graph
+		snapBytes int64
+	)
+	snapPath := filepath.Join(dir, SnapshotFile)
+	f, err := os.Open(snapPath)
+	switch {
+	case err == nil:
+		st, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return nil, nil, 0, err
+		}
+		t0 := time.Now()
 		d, g, err = ReadSnapshot(bufio.NewReaderSize(f, 1<<20))
 		f.Close()
 		if err != nil {
-			return nil, nil, stats, fmt.Errorf("%s: %w", snapPath, err)
+			return nil, nil, 0, fmt.Errorf("%s: %w", snapPath, err)
 		}
-		stats.SnapshotBytes = st.Size()
-		haveSnap = true
-	} else if !os.IsNotExist(err) {
-		return nil, nil, stats, err
-	}
-	if g == nil {
+		snapshotOpenSeconds.ObserveSince(t0)
+		snapBytes = st.Size()
+	case os.IsNotExist(err):
+		d = dict.New()
 		g = graph.NewWithDict(d)
+	default:
+		return nil, nil, 0, err
 	}
-
-	walPath := filepath.Join(dir, WALFile)
-	if f, err := os.Open(walPath); err == nil {
-		defer f.Close()
-		st, serr := f.Stat()
-		if serr != nil {
-			return nil, nil, stats, serr
-		}
-		if st.Size() >= walHeaderSize {
-			res, err := ReplayWAL(f, d, g)
-			if err != nil {
-				return nil, nil, stats, fmt.Errorf("%s: %w", walPath, err)
-			}
-			stats.WALBytes = res.Valid - walHeaderSize
-			stats.WALRecords = res.Records
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, nil, stats, err
-	} else if !haveSnap {
-		return nil, nil, stats, fmt.Errorf("persist: %s holds no database (no %s or %s)", dir, SnapshotFile, WALFile)
+	if err := replayWAL(d, g); err != nil {
+		return nil, nil, 0, err
 	}
-	return d, g, stats, nil
+	return d, g, snapBytes, nil
 }
 
 // Append logs a batch of freshly added triples. The caller passes the
@@ -368,6 +373,36 @@ func writeSnapshotSynced(f *os.File, g *graph.Graph, sync bool) (int64, int, err
 		}
 	}
 	return n, persistedTerms, nil
+}
+
+// installFile atomically replaces dir/name with the bytes write
+// produces: a tmp file beside it, fsynced, renamed into place, and the
+// directory fsynced (the fsyncs only when sync is set). On failure the
+// tmp file is removed and dir/name is untouched.
+func installFile(dir, name string, write func(io.Writer) error, sync bool) error {
+	tmp := filepath.Join(dir, name+".tmp")
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if sync {
+		return syncDir(dir)
+	}
+	return nil
 }
 
 // syncDir fsyncs a directory so a completed rename survives a crash.

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 
 	"semwebdb/internal/dict"
+	"semwebdb/internal/graph"
 )
 
 // ErrWrongGeneration reports that a requested WAL generation no longer
@@ -41,10 +42,6 @@ type TailState struct {
 	WALSize int64
 	// WALRecords is the number of valid records in the log.
 	WALRecords int
-	// Defined is the durable term-ID watermark: snapshot base plus the
-	// define records in the log. A follower resuming at WALSize feeds
-	// it to NewApplier so stream ordinals resolve correctly.
-	Defined dict.ID
 	// SnapshotBytes is the size of the current snapshot file (0 when
 	// none has been written yet).
 	SnapshotBytes int64
@@ -90,7 +87,6 @@ func (e *Engine) tailStateLocked() TailState {
 		Gen:           e.gen,
 		WALSize:       e.wal.Size(),
 		WALRecords:    e.wal.Records(),
-		Defined:       e.wal.defined,
 		SnapshotBytes: e.snapBytes,
 	}
 }
@@ -187,19 +183,54 @@ func (e *Engine) OpenSnapshot(gen uint64) (io.ReadCloser, int64, error) {
 	return f, fi.Size(), nil
 }
 
-// AppendRaw appends pre-framed, pre-verified WAL record bytes verbatim
-// — the follower half of replication: the bytes are the leader's log
-// suffix, already CRC-checked and applied record by record, and the
-// counts keep the accounting exact (see WAL.AppendRaw).
-func (e *Engine) AppendRaw(b []byte, records, defines int) error {
+// AppendFrames is the mirror half of replication: b is a suffix of a
+// leader's log, starting at this engine's durable size. AppendFrames
+// verifies the complete record frames at the start of b, applies them
+// to a clone of g, and appends exactly those n bytes with one fsync —
+// durability before the caller publishes next. A trailing partial
+// frame is left for the caller to complete with later bytes (n == 0
+// and next == g when b holds no complete frame). On a damaged frame
+// (ErrBadFrame), a record that does not apply to g, or a failed
+// append, nothing is appended and g is untouched.
+//
+// g must be over the dictionary Open recovered. The records are
+// applied through an applier the engine owns, seeded from the WAL's
+// durable ID watermark on first use and re-seeded whenever the log's
+// watermark moved without it (a failed batch, an Append), so define
+// records resolve across calls as a replay of the mirror resolves
+// them.
+func (e *Engine) AppendFrames(g *graph.Graph, b []byte) (next *graph.Graph, fresh []dict.Triple3, n int, err error) {
+	payloads, n, err := splitFrames(b)
+	if err != nil || n == 0 {
+		return g, nil, 0, err
+	}
+	e.mu.Lock()
+	defined := e.wal.defined
+	e.mu.Unlock()
+	a := e.applier
+	if a == nil || a.watermark() != defined {
+		a = newApplier(g.Dict(), defined)
+		e.applier = a
+	}
+	next = g.Clone()
+	for _, p := range payloads {
+		rec, err := a.apply(next, p)
+		if err != nil {
+			return g, nil, 0, fmt.Errorf("persist: applying mirrored record: %w", err)
+		}
+		if rec.isTriple && rec.added {
+			fresh = append(fresh, rec.triple)
+		}
+	}
+
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return fmt.Errorf("persist: engine is closed")
+		return g, nil, 0, fmt.Errorf("persist: engine is closed")
 	}
-	if err := e.wal.AppendRaw(b, records, defines); err != nil {
-		return err
+	if err := e.wal.appendFrames(b[:n], len(payloads), int(a.watermark()-defined)); err != nil {
+		return g, nil, 0, err
 	}
 	e.notifyTailLocked()
-	return nil
+	return next, fresh, n, nil
 }

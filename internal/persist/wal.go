@@ -76,21 +76,19 @@ type ReplayStats struct {
 	Valid int64
 }
 
-// Applier applies WAL record payloads, one at a time, to a dictionary
-// and graph. It factors the application half of ReplayWAL out so that
-// a replication follower can feed records as they arrive off the wire
-// through the exact same idempotent path a crash-recovery replay uses.
+// applier applies WAL record payloads, one at a time, to a dictionary
+// and graph: the one record path behind crash-recovery replay
+// (ReplayWAL) and a replication mirror's appends (Engine.AppendFrames).
 //
 // base is the durable ID watermark the record stream starts above:
 // triple records referencing IDs at or below it resolve directly
 // against the dictionary, IDs above it must be introduced by earlier
 // define-term records in the same stream. For a full-log replay that
-// is the WAL header's baseTerms; for a follower resuming mid-log it is
-// base + the defines already applied (Engine.TailState().Defined).
-// Define records are re-interned through the live dictionary rather
-// than trusted positionally, so re-applying an already-applied suffix
-// is harmless.
-type Applier struct {
+// is the WAL header's baseTerms; for a mirror resuming mid-log it is
+// the WAL's durable watermark. Define records are re-interned through
+// the live dictionary rather than trusted positionally, so re-applying
+// an already-applied suffix is harmless.
+type applier struct {
 	d       *dict.Dict
 	base    uint64
 	defines int
@@ -100,31 +98,26 @@ type Applier struct {
 	remap map[dict.ID]dict.ID
 }
 
-// NewApplier returns an Applier for records whose ordinal ID space
-// starts just above base.
-func NewApplier(d *dict.Dict, base dict.ID) *Applier {
-	return &Applier{d: d, base: uint64(base), remap: make(map[dict.ID]dict.ID)}
+func newApplier(d *dict.Dict, base dict.ID) *applier {
+	return &applier{d: d, base: uint64(base), remap: make(map[dict.ID]dict.ID)}
 }
 
-// AppliedRecord describes the effect of one applied record.
-type AppliedRecord struct {
-	// IsTriple is true for an add-triple record, false for define-term.
-	IsTriple bool
-	// Triple is the triple in live-dictionary IDs (add-triple only).
-	Triple dict.Triple3
-	// New is true when the graph did not already hold the triple.
-	New bool
+// watermark is the durable ID watermark after the records applied so
+// far: base plus their define records.
+func (a *applier) watermark() dict.ID { return dict.ID(a.base + uint64(a.defines)) }
+
+// appliedRecord describes the effect of one applied record.
+type appliedRecord struct {
+	isTriple bool         // an add-triple record, not a define-term one
+	triple   dict.Triple3 // in live-dictionary IDs (add-triple only)
+	added    bool         // the graph did not already hold the triple
 }
 
-// Defines returns the number of define-term records applied so far.
-func (a *Applier) Defines() int { return a.defines }
-
-// Apply applies one intact record payload (CRC already verified by the
-// framing layer) to g. Errors mean the record is semantically invalid
-// for the state it was applied to — for a follower, the only safe
-// recovery is a fresh bootstrap.
-func (a *Applier) Apply(g *graph.Graph, payload []byte) (AppliedRecord, error) {
-	var rec AppliedRecord
+// apply applies one intact record payload (its frame already verified)
+// to g. Errors mean the record is semantically invalid for the state it
+// was applied to.
+func (a *applier) apply(g *graph.Graph, payload []byte) (appliedRecord, error) {
+	var rec appliedRecord
 	c := &cursor{p: payload}
 	kind, err := c.byte1()
 	if err != nil {
@@ -137,7 +130,7 @@ func (a *Applier) Apply(g *graph.Graph, payload []byte) (AppliedRecord, error) {
 			return rec, fmt.Errorf("record %d: %w", a.records+1, err)
 		}
 		a.defines++
-		a.remap[dict.ID(a.base+uint64(a.defines))] = a.d.Intern(t)
+		a.remap[a.watermark()] = a.d.Intern(t)
 	case recAddTriple:
 		var t dict.Triple3
 		for i := 0; i < 3; i++ {
@@ -158,13 +151,13 @@ func (a *Applier) Apply(g *graph.Graph, payload []byte) (AppliedRecord, error) {
 			}
 			t[i] = id
 		}
-		rec.IsTriple = true
-		rec.Triple = t
+		rec.isTriple = true
+		rec.triple = t
 		if !g.HasID(t) {
 			if !g.AddID(t) {
 				return rec, corruptf("record %d: ill-formed triple %v", a.records+1, t)
 			}
-			rec.New = true
+			rec.added = true
 		}
 	default:
 		return rec, corruptf("record %d: unknown kind %d", a.records+1, kind)
@@ -200,18 +193,18 @@ func ReplayWAL(r io.Reader, d *dict.Dict, g *graph.Graph) (ReplayStats, error) {
 	res.Base = dict.ID(base)
 	res.Valid = walHeaderSize
 
-	a := NewApplier(d, res.Base)
+	a := newApplier(d, res.Base)
 	br := bufio.NewReader(r)
 	for {
 		payload, frame, ok := readRecord(br)
 		if !ok {
 			return res, nil // torn or clean end
 		}
-		rec, err := a.Apply(g, payload)
+		rec, err := a.apply(g, payload)
 		if err != nil {
 			return res, err
 		}
-		if rec.IsTriple {
+		if rec.isTriple {
 			res.Applied++
 		} else {
 			res.Defines++
@@ -234,21 +227,58 @@ func saveTornTail(f *os.File, path string, valid, size int64) {
 	os.WriteFile(path+".torn", tail, 0o644)
 }
 
+// A record frame is frameHeaderSize bytes — uint32 payload length,
+// uint32 CRC32-C of the payload — followed by the payload. frameLen and
+// checkFrame are the one frame check: every reader of record bytes,
+// the streaming WAL replay and a mirror's AppendFrames alike, goes
+// through them.
+const frameHeaderSize = 8
+
+// maxRecordPayload bounds the payload length a frame may claim. Real
+// records are a term or three varints; a longer claim is garbage. No
+// reader allocates on the claim alone (both grow with the bytes
+// actually present), so the bound is a plausibility check, and it is
+// the same for every reader: a record the leader can log and replay,
+// a mirror accepts.
+const maxRecordPayload = 1 << 30
+
+// ErrBadFrame reports a record frame whose header or checksum does not
+// verify. Replay reads it as the end of the valid prefix; a mirror
+// reads it as bytes damaged in transit, to be re-read from its durable
+// offset. It wraps ErrCorrupt.
+var ErrBadFrame = fmt.Errorf("%w: bad record frame", ErrCorrupt)
+
+// frameLen returns the payload length a frame header claims. No record
+// has an empty payload (there is always a kind byte), so a zero length
+// is not a record — typically a zero-filled hole left by a crash
+// mid-write. (Conveniently, CRC32-C of nothing is 0, so an all-zero
+// frame would otherwise pass the checksum.)
+func frameLen(hdr []byte) (int, error) {
+	n := binary.LittleEndian.Uint32(hdr[:4])
+	if n == 0 || n > maxRecordPayload {
+		return 0, fmt.Errorf("%w: payload length %d", ErrBadFrame, n)
+	}
+	return int(n), nil
+}
+
+// checkFrame verifies payload against the checksum in its frame header.
+func checkFrame(hdr, payload []byte) error {
+	if checksum(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return fmt.Errorf("%w: checksum mismatch", ErrBadFrame)
+	}
+	return nil
+}
+
 // readRecord reads one framed record. ok is false at a clean end of
 // stream or on any torn/corrupt frame — the caller treats both as the
 // end of the valid prefix.
 func readRecord(br *bufio.Reader) (payload []byte, frame int64, ok bool) {
-	var hdr [8]byte
+	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, 0, false
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	// No record has an empty payload (there is always a kind byte), so
-	// a zero length is not a record — typically a zero-filled hole left
-	// by a crash mid-write. (Conveniently, CRC32-C of nothing is 0, so
-	// an all-zero frame would otherwise pass the checksum.) Absurd
-	// lengths are garbage for the same reason.
-	if n == 0 || n > 1<<30 {
+	n, err := frameLen(hdr[:])
+	if err != nil {
 		return nil, 0, false
 	}
 	// Copy through a growing buffer so the allocation tracks the bytes
@@ -257,11 +287,35 @@ func readRecord(br *bufio.Reader) (payload []byte, frame int64, ok bool) {
 	if _, err := io.CopyN(&pb, br, int64(n)); err != nil {
 		return nil, 0, false
 	}
-	p := pb.Bytes()
-	if checksum(p) != binary.LittleEndian.Uint32(hdr[4:8]) {
+	if checkFrame(hdr[:], pb.Bytes()) != nil {
 		return nil, 0, false
 	}
-	return p, int64(8 + n), true
+	return pb.Bytes(), int64(frameHeaderSize + n), true
+}
+
+// splitFrames returns the payloads of the complete frames at the start
+// of b and the bytes n they span; a trailing partial frame is left for
+// later bytes to complete. A frame that fails the frame check is an
+// ErrBadFrame error.
+func splitFrames(b []byte) (payloads [][]byte, n int, err error) {
+	for len(b)-n >= frameHeaderSize {
+		hdr := b[n : n+frameHeaderSize]
+		size, err := frameLen(hdr)
+		if err != nil {
+			return nil, 0, err
+		}
+		end := n + frameHeaderSize + size
+		if end > len(b) {
+			break
+		}
+		p := b[n+frameHeaderSize : end]
+		if err := checkFrame(hdr, p); err != nil {
+			return nil, 0, err
+		}
+		payloads = append(payloads, p)
+		n = end
+	}
+	return payloads, n, nil
 }
 
 // OpenWAL opens (creating if needed) the WAL at path, replays its
@@ -371,29 +425,15 @@ func (w *WAL) Append(d *dict.Dict, triples []dict.Triple3) error {
 			return w.rollback(startSize, startRecords, startDefined, err)
 		}
 	}
-	if err := w.bw.Flush(); err != nil {
-		return w.rollback(startSize, startRecords, startDefined, err)
-	}
-	if w.sync {
-		t0 := time.Now()
-		if err := w.f.Sync(); err != nil {
-			return w.rollback(startSize, startRecords, startDefined, err)
-		}
-		walFsyncSeconds.ObserveSince(t0)
-	}
-	walAppends.Inc()
-	walAppendBytes.Add(uint64(w.size - startSize))
-	return nil
+	return w.commit(startSize, startRecords, startDefined)
 }
 
-// AppendRaw appends pre-framed record bytes verbatim — a replication
-// follower mirroring a leader's log. The caller has already verified
-// every frame's CRC and applied its records, and passes the record and
-// define counts the bytes carry so the accounting (and the durable ID
-// watermark replay ordinals resolve against) stays exact. The batch is
-// flushed and fsynced like an ordinary Append, and rolled back like
-// one on failure.
-func (w *WAL) AppendRaw(b []byte, records, defines int) error {
+// appendFrames appends record frames verbatim — a mirror extending its
+// copy of a leader's log. Engine.AppendFrames has verified and applied
+// every frame, and passes the record and define counts its applier
+// observed, so the accounting (and the durable ID watermark replay
+// ordinals resolve against) stays exact.
+func (w *WAL) appendFrames(b []byte, records, defines int) error {
 	if w.failed != nil {
 		return fmt.Errorf("persist: WAL is failed: %w", w.failed)
 	}
@@ -404,18 +444,25 @@ func (w *WAL) AppendRaw(b []byte, records, defines int) error {
 	w.size += int64(len(b))
 	w.records += records
 	w.defined += dict.ID(defines)
+	return w.commit(startSize, startRecords, startDefined)
+}
+
+// commit flushes and (when enabled) fsyncs the batch written since the
+// given pre-batch state — one disk sync per batch — and rolls back to
+// that state on failure.
+func (w *WAL) commit(size int64, records int, defined dict.ID) error {
 	if err := w.bw.Flush(); err != nil {
-		return w.rollback(startSize, startRecords, startDefined, err)
+		return w.rollback(size, records, defined, err)
 	}
 	if w.sync {
 		t0 := time.Now()
 		if err := w.f.Sync(); err != nil {
-			return w.rollback(startSize, startRecords, startDefined, err)
+			return w.rollback(size, records, defined, err)
 		}
 		walFsyncSeconds.ObserveSince(t0)
 	}
 	walAppends.Inc()
-	walAppendBytes.Add(uint64(len(b)))
+	walAppendBytes.Add(uint64(w.size - size))
 	return nil
 }
 
@@ -432,7 +479,7 @@ func (w *WAL) ReadValidAt(p []byte, off int64) error {
 }
 
 func (w *WAL) writeRecord(payload []byte) error {
-	var hdr [8]byte
+	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], checksum(payload))
 	if _, err := w.bw.Write(hdr[:]); err != nil {
@@ -441,7 +488,7 @@ func (w *WAL) writeRecord(payload []byte) error {
 	if _, err := w.bw.Write(payload); err != nil {
 		return err
 	}
-	w.size += int64(8 + len(payload))
+	w.size += int64(frameHeaderSize + len(payload))
 	w.records++
 	return nil
 }

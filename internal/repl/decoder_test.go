@@ -6,11 +6,17 @@ import (
 	"errors"
 	"hash/crc32"
 	"testing"
+
+	"semwebdb/internal/dict"
+	"semwebdb/internal/graph"
+	"semwebdb/internal/persist"
+	"semwebdb/internal/term"
 )
 
-// frame builds one wire frame around payload: the u32 length + u32
+// frame builds one record frame around payload: the u32 length + u32
 // CRC32-C prefix the WAL writer produces. Test-local on purpose, so the
-// decoder is checked against the format, not against itself.
+// persist frame codec is checked against the format, not against
+// itself.
 func frame(payload []byte) []byte {
 	b := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
@@ -19,66 +25,116 @@ func frame(payload []byte) []byte {
 	return b
 }
 
-// testStream returns a stream of framed payloads plus the payloads.
-func testStream() ([]byte, [][]byte) {
-	payloads := [][]byte{
-		{0x01},
-		{0x02, 0x03, 0x04},
-		bytes.Repeat([]byte{0xAA}, 100),
-		{0xFF},
-		bytes.Repeat([]byte{0x5C}, 7),
-	}
-	var stream []byte
-	for _, p := range payloads {
-		stream = append(stream, frame(p)...)
-	}
-	return stream, payloads
+// defineIRI and addTriple encode record payloads by hand from the WAL
+// format: a define-term record is kind 1 plus a term record (term kind,
+// uvarint length, value); an add-triple record is kind 2 plus three
+// uvarint term IDs.
+func defineIRI(v string) []byte {
+	b := binary.AppendUvarint([]byte{1, byte(term.KindIRI)}, uint64(len(v)))
+	return append(b, v...)
 }
 
-// drain pulls every decoded record out of d, returning payloads and the
-// total framed bytes they accounted for.
-func drain(d *Decoder) (got [][]byte, framed int) {
-	for {
-		p, n, ok := d.Next()
-		if !ok {
-			return got, framed
-		}
-		got = append(got, p)
-		framed += n
+func addTriple(s, p, o uint64) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint([]byte{2}, s), p), o)
+}
+
+// testStream returns the record frames of a log holding two triples,
+// encoded by hand, and checks them against the bytes the persist
+// writer logs for the same appends.
+func testStream(t *testing.T) (stream []byte, frames [][]byte) {
+	t.Helper()
+	long := "urn:o:" + string(bytes.Repeat([]byte{'x'}, 100))
+	for _, p := range [][]byte{
+		defineIRI("urn:s"), defineIRI("urn:p"), defineIRI("urn:o"), addTriple(1, 2, 3),
+		defineIRI(long), addTriple(1, 2, 4),
+	} {
+		frames = append(frames, frame(p))
+		stream = append(stream, frames[len(frames)-1]...)
 	}
+
+	l := newTestLeader(t)
+	s, p := l.d.Intern(term.NewIRI("urn:s")), l.d.Intern(term.NewIRI("urn:p"))
+	for _, o := range []string{"urn:o", long} {
+		if err := l.eng.Append(l.d, []dict.Triple3{{s, p, l.d.Intern(term.NewIRI(o))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logged, _, err := l.eng.ReadWALAt(l.eng.TailState().Gen, persist.WALHeaderSize, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(logged, stream) {
+		t.Fatalf("persist logged %x, the format says %x", logged, stream)
+	}
+	return stream, frames
+}
+
+// newMirror opens an empty database directory the way a follower opens
+// its mirror. Its WAL header (base 0) is that of any leader that
+// started empty, so a leader's record stream appends at WALHeaderSize.
+func newMirror(t *testing.T) (*persist.Engine, *graph.Graph) {
+	t.Helper()
+	eng, _, g, err := persist.Open(t.TempDir(), persist.Options{NoSync: true, CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	return eng, g
+}
+
+// mirrorFeed hands chunks to a mirror engine the way the follower does:
+// each staged behind any partial frame held from earlier chunks.
+type mirrorFeed struct {
+	eng      *persist.Engine
+	g        *graph.Graph
+	stage    []byte
+	consumed int
+	fresh    int
+}
+
+func (m *mirrorFeed) feed(chunk []byte) error {
+	m.stage = append(m.stage, chunk...)
+	next, fresh, n, err := m.eng.AppendFrames(m.g, m.stage)
+	if err != nil {
+		return err
+	}
+	m.g, m.stage = next, m.stage[n:]
+	m.consumed += n
+	m.fresh += len(fresh)
+	return nil
 }
 
 // TestDecoderSplitMatrix feeds the same stream split at every possible
 // boundary into two parts, and also one byte at a time: every split
-// must decode the identical record sequence and account for every
-// stream byte.
+// must append the identical bytes, apply the identical triples and
+// account for every stream byte.
 func TestDecoderSplitMatrix(t *testing.T) {
-	stream, payloads := testStream()
+	stream, frames := testStream(t)
 	check := func(t *testing.T, feeds [][]byte) {
 		t.Helper()
-		d := NewDecoder()
-		consumed := 0
+		eng, g := newMirror(t)
+		m := &mirrorFeed{eng: eng, g: g}
 		for _, f := range feeds {
-			n, err := d.Feed(f)
-			if err != nil {
-				t.Fatalf("Feed: %v", err)
-			}
-			consumed += n
-		}
-		got, framed := drain(d)
-		if len(got) != len(payloads) {
-			t.Fatalf("decoded %d records, want %d", len(got), len(payloads))
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], payloads[i]) {
-				t.Fatalf("record %d: got %x want %x", i, got[i], payloads[i])
+			if err := m.feed(f); err != nil {
+				t.Fatalf("feed: %v", err)
 			}
 		}
-		if consumed != len(stream) || framed != len(stream) {
-			t.Fatalf("consumed %d, framed %d, want %d", consumed, framed, len(stream))
+		if m.consumed != len(stream) || len(m.stage) != 0 {
+			t.Fatalf("consumed %d, %d staged, want %d and 0", m.consumed, len(m.stage), len(stream))
 		}
-		if d.Buffered() != 0 {
-			t.Fatalf("%d bytes left buffered after a complete stream", d.Buffered())
+		if m.g.Len() != 2 || m.fresh != 2 {
+			t.Fatalf("mirror holds %d triples, %d reported fresh; want 2", m.g.Len(), m.fresh)
+		}
+		ts := eng.TailState()
+		if ts.WALRecords != len(frames) {
+			t.Fatalf("mirror counts %d records, want %d", ts.WALRecords, len(frames))
+		}
+		got, _, err := eng.ReadWALAt(ts.Gen, persist.WALHeaderSize, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, stream) {
+			t.Fatalf("mirror appended %x, want %x", got, stream)
 		}
 	}
 	for cut := 0; cut <= len(stream); cut++ {
@@ -91,46 +147,59 @@ func TestDecoderSplitMatrix(t *testing.T) {
 	check(t, bytewise)
 }
 
-// TestDecoderPartialFrameHeld checks that an incomplete frame consumes
-// nothing and yields nothing until its remaining bytes arrive.
+// TestDecoderPartialFrameHeld checks that an incomplete frame appends
+// nothing and applies nothing until its remaining bytes arrive — also
+// one whose claimed length is large but within the record bound, which
+// the leader logs and replays, so a mirror must wait for it rather
+// than call it damage.
 func TestDecoderPartialFrameHeld(t *testing.T) {
-	payload := bytes.Repeat([]byte{0x42}, 32)
-	fr := frame(payload)
-	d := NewDecoder()
-	n, err := d.Feed(fr[:len(fr)-1])
-	if err != nil || n != 0 {
-		t.Fatalf("partial feed: consumed %d, err %v", n, err)
+	stream, frames := testStream(t)
+	last := len(stream) - len(frames[len(frames)-1])
+	eng, g := newMirror(t)
+	m := &mirrorFeed{eng: eng, g: g}
+	if err := m.feed(stream[:len(stream)-1]); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, ok := d.Next(); ok {
-		t.Fatal("Next returned a record from a partial frame")
+	if m.consumed != last || len(m.stage) != len(stream)-1-last || m.g.Len() != 1 {
+		t.Fatalf("partial feed: consumed %d, staged %d, %d triples; want %d, %d, 1",
+			m.consumed, len(m.stage), m.g.Len(), last, len(stream)-1-last)
 	}
-	if d.Buffered() != len(fr)-1 {
-		t.Fatalf("Buffered %d, want %d", d.Buffered(), len(fr)-1)
+	if ts := eng.TailState(); ts.WALSize != persist.WALHeaderSize+int64(last) {
+		t.Fatalf("partial frame reached the log: WAL size %d", ts.WALSize)
 	}
-	n, err = d.Feed(fr[len(fr)-1:])
-	if err != nil || n != len(fr) {
-		t.Fatalf("completing feed: consumed %d, err %v; want %d", n, err, len(fr))
+	if err := m.feed(stream[len(stream)-1:]); err != nil {
+		t.Fatal(err)
 	}
-	got, _, ok := d.Next()
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("completed record: ok=%v got %x", ok, got)
+	if m.consumed != len(stream) || len(m.stage) != 0 || m.g.Len() != 2 {
+		t.Fatalf("completing feed: consumed %d, staged %d, %d triples", m.consumed, len(m.stage), m.g.Len())
+	}
+
+	big := make([]byte, 8+16)
+	binary.LittleEndian.PutUint32(big[0:4], 65<<20)
+	before := eng.TailState()
+	if err := m.feed(big); err != nil {
+		t.Fatalf("65 MiB length claim rejected: %v", err)
+	}
+	if eng.TailState() != before || len(m.stage) != len(big) {
+		t.Fatalf("65 MiB partial frame: tail %+v -> %+v, staged %d", before, eng.TailState(), len(m.stage))
 	}
 }
 
 // TestDecoderRejectsCorruption exercises the failure arms: zero-length
-// frames, absurd lengths, flipped payload bytes and flipped checksums
-// must all fail with ErrFrameCorrupt; records already decoded before
-// the damage stay available.
+// frames, lengths over the record bound, flipped payload bytes and
+// flipped checksums must all fail with persist.ErrBadFrame (an
+// ErrCorrupt) and append nothing, not even the intact frame ahead of
+// the damage in the same batch; records made durable before the damage
+// stay.
 func TestDecoderRejectsCorruption(t *testing.T) {
-	good := frame([]byte{0x01, 0x02})
+	good := frame(defineIRI("urn:q"))
 	cases := map[string]func() []byte{
 		"zero length": func() []byte {
-			b := make([]byte, 8)
-			return b
+			return make([]byte, 8)
 		},
 		"absurd length": func() []byte {
 			b := make([]byte, 8)
-			binary.LittleEndian.PutUint32(b[0:4], maxFramePayload+1)
+			binary.LittleEndian.PutUint32(b[0:4], 1<<30+1)
 			return b
 		},
 		"flipped payload byte": func() []byte {
@@ -146,38 +215,45 @@ func TestDecoderRejectsCorruption(t *testing.T) {
 	}
 	for name, build := range cases {
 		t.Run(name, func(t *testing.T) {
-			d := NewDecoder()
-			// A healthy frame first: corruption later in the stream must
-			// not retract it.
-			if _, err := d.Feed(frame([]byte{0x09})); err != nil {
+			eng, g := newMirror(t)
+			m := &mirrorFeed{eng: eng, g: g}
+			if err := m.feed(frame(defineIRI("urn:s"))); err != nil {
 				t.Fatal(err)
 			}
-			_, err := d.Feed(build())
-			if !errors.Is(err, ErrFrameCorrupt) {
-				t.Fatalf("err = %v, want ErrFrameCorrupt", err)
+			before := eng.TailState()
+			err := m.feed(append(frame(defineIRI("urn:p")), build()...))
+			if !errors.Is(err, persist.ErrBadFrame) || !errors.Is(err, persist.ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrBadFrame wrapping ErrCorrupt", err)
 			}
-			got, _ := drain(d)
-			if len(got) != 1 || !bytes.Equal(got[0], []byte{0x09}) {
-				t.Fatalf("pre-damage record lost: %x", got)
+			if ts := eng.TailState(); ts != before || ts.WALRecords != 1 {
+				t.Fatalf("damaged batch changed the log: %+v -> %+v", before, ts)
 			}
 		})
 	}
 }
 
 // TestDecoderReorderedFramesDetected: swapping two frames of a WAL
-// stream keeps each frame self-consistent, so the decoder (whose job is
-// transport integrity, not ordering) accepts them — the applier layer
-// is what rejects out-of-order semantics. What the decoder must
-// guarantee is byte-exact framing: the reordered records come out
-// exactly as framed, in stream order.
+// stream keeps each frame self-consistent, so the frame check accepts
+// them — the record order is what is wrong: the triple now references
+// a term its define record has not introduced yet. That must be an
+// apply error (not frame damage, which would only be re-read), and the
+// mirror must be left exactly as it was.
 func TestDecoderReorderedFramesDetected(t *testing.T) {
-	a, b := frame([]byte{0x01, 0x0A}), frame([]byte{0x02, 0x0B, 0x0C})
-	d := NewDecoder()
-	if _, err := d.Feed(append(bytes.Clone(b), a...)); err != nil {
-		t.Fatal(err)
+	_, frames := testStream(t)
+	var reordered []byte
+	for _, i := range []int{0, 1, 3, 2} {
+		reordered = append(reordered, frames[i]...)
 	}
-	got, _ := drain(d)
-	if len(got) != 2 || !bytes.Equal(got[0], []byte{0x02, 0x0B, 0x0C}) || !bytes.Equal(got[1], []byte{0x01, 0x0A}) {
-		t.Fatalf("reordered stream decoded wrong: %x", got)
+	eng, g := newMirror(t)
+	before := eng.TailState()
+	next, fresh, n, err := eng.AppendFrames(g, reordered)
+	if err == nil || errors.Is(err, persist.ErrBadFrame) {
+		t.Fatalf("err = %v, want an apply error", err)
+	}
+	if next != g || fresh != nil || n != 0 || g.Len() != 0 {
+		t.Fatalf("rejected batch applied: next==g %v, %d fresh, n %d, %d triples", next == g, len(fresh), n, g.Len())
+	}
+	if ts := eng.TailState(); ts != before {
+		t.Fatalf("rejected batch changed the log: %+v -> %+v", before, ts)
 	}
 }

@@ -1,14 +1,11 @@
 package repl
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"strconv"
 	"sync"
 	"time"
 
@@ -16,22 +13,6 @@ import (
 	"semwebdb/internal/graph"
 	"semwebdb/internal/persist"
 )
-
-// MetaFile marks a database directory as a replication mirror and
-// records which leader generation its bytes belong to. Its presence is
-// also the ownership check: a follower refuses to bootstrap (wipe)
-// into a directory that holds a database but no meta file, so pointing
-// -follow at a leader's own dbdir cannot destroy it.
-const MetaFile = "repl.json"
-
-// replMeta is the MetaFile payload. The generation is a full-range
-// uint64, which JSON numbers cannot carry exactly, so it travels as a
-// decimal string. Generation zero is the provisional marker written
-// before a bootstrap wipes the directory: a crash mid-bootstrap leaves
-// it behind, and reopening treats it as "mine, but unusable —redo".
-type replMeta struct {
-	Generation string `json:"generation"`
-}
 
 // Config configures a Follower.
 type Config struct {
@@ -103,13 +84,12 @@ type Follower struct {
 	// eng through gen are published under mu for concurrent readers
 	// (Current, Engine, Status); the Run/bootstrap goroutine is their
 	// sole writer and reads them without the lock.
-	eng     *persist.Engine
-	d       *dict.Dict
-	cur     *graph.Graph
-	applier *persist.Applier
-	gen     uint64 // leader generation mirrored
-	stage   []byte // guarded by mu; fetched beyond durable: a partial record frame
-	status  Status // guarded by mu
+	eng    *persist.Engine
+	d      *dict.Dict
+	cur    *graph.Graph
+	gen    uint64 // leader generation mirrored
+	stage  []byte // guarded by mu; fetched beyond durable: a partial record frame
+	status Status // guarded by mu
 }
 
 // Open prepares a follower over dir. When dir already holds a mirror
@@ -117,9 +97,9 @@ type Follower struct {
 // locally (torn tails truncated by ordinary WAL recovery) without
 // contacting the leader — a replica restarts into service even while
 // its leader is down, serving its last applied state until Run
-// reconnects. Otherwise the leader is contacted for a full bootstrap:
-// snapshot, then the WAL prefix, then the meta marker, in an order
-// that makes every crash point recoverable.
+// reconnects. Otherwise the leader is contacted for a full bootstrap
+// (persist.InstallMirror), which refuses a directory that holds a
+// database but no mirror marker.
 func Open(ctx context.Context, cfg Config) (*Follower, error) {
 	if cfg.Dir == "" || cfg.Source == nil {
 		return nil, fmt.Errorf("repl: Config.Dir and Config.Source are required")
@@ -138,11 +118,11 @@ func Open(ctx context.Context, cfg Config) (*Follower, error) {
 	}
 	f := &Follower{cfg: cfg, mg: newGauges(cfg.Name)}
 
-	gen, ok, err := f.readMeta()
+	gen, err := persist.MirrorGeneration(cfg.Dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("repl: %w", err)
 	}
-	if ok && gen != 0 {
+	if gen != 0 {
 		if err := f.openLocal(gen); err == nil {
 			return f, nil
 		}
@@ -150,61 +130,10 @@ func Open(ctx context.Context, cfg Config) (*Follower, error) {
 		// recovery absorbs). It is only a cache of the leader's log:
 		// fall through to a fresh bootstrap.
 	}
-	if !ok {
-		// No meta marker: only ever bootstrap into a directory that
-		// holds no database, so a leader's dbdir cannot be wiped by a
-		// misdirected -follow.
-		for _, name := range []string{persist.SnapshotFile, persist.WALFile} {
-			if _, err := os.Stat(filepath.Join(cfg.Dir, name)); err == nil {
-				return nil, fmt.Errorf("repl: %s holds a database but no %s marker; refusing to overwrite it with a replica bootstrap", cfg.Dir, MetaFile)
-			}
-		}
-	}
 	if err := f.bootstrap(ctx); err != nil {
 		return nil, err
 	}
 	return f, nil
-}
-
-// readMeta returns the recorded generation and whether a meta file
-// exists.
-func (f *Follower) readMeta() (uint64, bool, error) {
-	b, err := os.ReadFile(filepath.Join(f.cfg.Dir, MetaFile))
-	if os.IsNotExist(err) {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	var m replMeta
-	if err := json.Unmarshal(b, &m); err != nil {
-		return 0, true, nil // ours but unreadable: treat as provisional
-	}
-	gen, err := strconv.ParseUint(m.Generation, 10, 64)
-	if err != nil {
-		return 0, true, nil
-	}
-	return gen, true, nil
-}
-
-func (f *Follower) writeMeta(gen uint64) error {
-	b, err := json.Marshal(replMeta{Generation: strconv.FormatUint(gen, 10)})
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(f.cfg.Dir, MetaFile)
-	tmp := path + ".tmp"
-	if err := writeFileSynced(tmp, b, !f.cfg.NoSync); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if !f.cfg.NoSync {
-		return syncDirBestEffort(f.cfg.Dir)
-	}
-	return nil
 }
 
 // openLocal recovers the existing mirror without contacting the
@@ -231,7 +160,6 @@ func (f *Follower) install(eng *persist.Engine, d *dict.Dict, g *graph.Graph, ge
 	f.eng = eng
 	f.d = d
 	f.cur = g
-	f.applier = persist.NewApplier(d, ts.Defined)
 	f.gen = gen
 	f.stage = nil
 	f.status.Generation = gen
@@ -249,16 +177,11 @@ func (f *Follower) install(eng *persist.Engine, d *dict.Dict, g *graph.Graph, ge
 	f.mg.lagRecords.Set(0)
 }
 
-// bootstrap wipes the mirror and rebuilds it from the leader's current
-// generation. The meta marker is written provisionally (generation 0)
-// before the wipe and finally (the real generation) only after the
-// snapshot and WAL prefix are durable, so any crash point leaves
-// either a usable previous state or an unmistakably incomplete one.
-// A generation switch racing the bootstrap restarts it.
+// bootstrap rebuilds the mirror from the leader's current generation
+// (persist.InstallMirror owns the crash-safe order: provisional
+// marker, wipe, snapshot, WAL prefix, final marker) and opens it. A
+// generation switch racing the bootstrap restarts it.
 func (f *Follower) bootstrap(ctx context.Context) error {
-	if err := os.MkdirAll(f.cfg.Dir, 0o755); err != nil {
-		return err
-	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -286,105 +209,50 @@ func (f *Follower) bootstrapOnce(ctx context.Context) error {
 		f.eng = nil
 		f.mu.Unlock()
 	}
-	if err := f.writeMeta(0); err != nil {
-		return err
-	}
-	for _, name := range []string{persist.SnapshotFile, persist.WALFile, persist.WALFile + ".torn", persist.SnapshotFile + ".tmp"} {
-		if err := os.Remove(filepath.Join(f.cfg.Dir, name)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-
 	st, err := f.cfg.Source.State(ctx)
 	if err != nil {
 		return err
 	}
 	gen := st.Generation
-
-	// Snapshot first (the big transfer), via tmp+rename like the
-	// leader's own checkpoint.
 	rc, _, err := f.cfg.Source.Snapshot(ctx, gen)
 	if err != nil {
 		return err
 	}
 	if rc != nil {
-		snapPath := filepath.Join(f.cfg.Dir, persist.SnapshotFile)
-		tmp := snapPath + ".tmp"
-		err := copyFileSynced(tmp, rc, !f.cfg.NoSync)
-		rc.Close()
-		if err != nil {
-			os.Remove(tmp)
-			return err
-		}
-		if err := os.Rename(tmp, snapPath); err != nil {
-			os.Remove(tmp)
-			return err
-		}
+		defer rc.Close()
 	}
-
-	// Then the WAL prefix, verbatim from byte 0 (including the file
-	// header), so the mirror's offsets are the leader's offsets.
-	wf, err := os.OpenFile(filepath.Join(f.cfg.Dir, persist.WALFile), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	var off int64
-	for {
-		chunk, err := f.cfg.Source.Tail(ctx, gen, off, f.cfg.MaxChunk, 0)
-		if err != nil {
-			wf.Close()
-			return err
-		}
-		if len(chunk.Data) > 0 {
-			if _, err := wf.Write(chunk.Data); err != nil {
-				wf.Close()
+	copyWAL := func(w io.Writer) error {
+		for off := int64(0); ; {
+			chunk, err := f.cfg.Source.Tail(ctx, gen, off, f.cfg.MaxChunk, 0)
+			if err != nil {
 				return err
 			}
-			off += int64(len(chunk.Data))
-		}
-		if off >= chunk.WALSize {
-			break
-		}
-	}
-	if !f.cfg.NoSync {
-		if err := wf.Sync(); err != nil {
-			wf.Close()
-			return err
+			if _, err := w.Write(chunk.Data); err != nil {
+				return err
+			}
+			if off += int64(len(chunk.Data)); off >= chunk.WALSize {
+				return nil
+			}
 		}
 	}
-	if err := wf.Close(); err != nil {
-		return err
-	}
-	if !f.cfg.NoSync {
-		if err := syncDirBestEffort(f.cfg.Dir); err != nil {
-			return err
-		}
-	}
-
-	// Only now does the meta marker claim the generation: everything it
-	// promises is durable.
-	if err := f.writeMeta(gen); err != nil {
+	if err := persist.InstallMirror(f.cfg.Dir, gen, rc, copyWAL, !f.cfg.NoSync); err != nil {
 		return err
 	}
 	return f.openLocal(gen)
 }
 
 // Run tails the leader until ctx ends, applying batches through sink.
-// Transport errors retry with backoff; generation switches re-bootstrap
-// (the sink gets a Reset); the only non-ctx error returns are local
-// ones a retry cannot fix (disk failures, a wiped directory that can
-// no longer be written).
+// Transport errors and frames damaged in transit retry with backoff
+// from the durable offset; generation switches and records that do
+// not apply re-bootstrap (the sink gets a Reset), and so does a
+// failed re-bootstrap, until one succeeds.
 func (f *Follower) Run(ctx context.Context, sink Sink) error {
+	rebuild := false
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		from := f.fetchedOffset()
-		chunk, err := f.cfg.Source.Tail(ctx, f.gen, from, f.cfg.MaxChunk, f.cfg.Wait)
-		switch {
-		case ctx.Err() != nil:
-			return ctx.Err()
-		case errors.Is(err, persist.ErrWrongGeneration):
+		if rebuild {
 			if err := f.rebootstrap(ctx, sink); err != nil {
 				if ctx.Err() != nil {
 					return ctx.Err()
@@ -392,45 +260,37 @@ func (f *Follower) Run(ctx context.Context, sink Sink) error {
 				if !f.noteRetry(ctx, err) {
 					return err
 				}
+				continue
 			}
-		case err != nil:
-			if !f.noteRetry(ctx, err) {
-				return err
-			}
-		default:
+			rebuild = false
+		}
+		from := f.fetchedOffset()
+		chunk, err := f.cfg.Source.Tail(ctx, f.gen, from, f.cfg.MaxChunk, f.cfg.Wait)
+		if err == nil {
 			if chunk.Generation != f.gen || chunk.From != from {
 				// A response for coordinates we did not ask for cannot
 				// be applied at this offset; treat it like damage in
 				// transit and re-request.
-				if !f.noteRetry(ctx, fmt.Errorf("repl: chunk for gen %d offset %d, asked for gen %d offset %d", chunk.Generation, chunk.From, f.gen, from)) {
-					return ctx.Err()
-				}
+				err = fmt.Errorf("repl: chunk for gen %d offset %d, asked for gen %d offset %d", chunk.Generation, chunk.From, f.gen, from)
+			} else if err = f.applyChunk(chunk, sink); err != nil && !errors.Is(err, persist.ErrBadFrame) {
+				// A record that does not apply to this state, or a local
+				// append failure: the mirror can no longer be trusted to
+				// extend; rebuild it.
+				rebuild = true
 				continue
 			}
-			if err := f.applyChunk(chunk, sink); err != nil {
-				if errors.Is(err, ErrFrameCorrupt) {
-					// Damaged in transit: drop the staged bytes and
-					// re-read the (immutable within the generation)
-					// range from the last durable offset.
-					f.mu.Lock()
-					f.stage = nil
-					f.mu.Unlock()
-					if !f.noteRetry(ctx, err) {
-						return err
-					}
-					continue
-				}
-				// Anything else — a record that does not apply to this
-				// state, a local append failure — means the mirror can
-				// no longer be trusted to extend; rebuild it.
-				if rerr := f.rebootstrap(ctx, sink); rerr != nil {
-					if ctx.Err() != nil {
-						return ctx.Err()
-					}
-					if !f.noteRetry(ctx, rerr) {
-						return rerr
-					}
-				}
+		}
+		switch {
+		case ctx.Err() != nil:
+			return ctx.Err()
+		case errors.Is(err, persist.ErrWrongGeneration):
+			rebuild = true
+		case err != nil:
+			// Transport errors and frames damaged in transit: re-read
+			// the (immutable within the generation) range from the
+			// durable offset.
+			if !f.noteRetry(ctx, err) {
+				return err
 			}
 		}
 	}
@@ -472,67 +332,39 @@ func (f *Follower) rebootstrap(ctx context.Context, sink Sink) error {
 	return nil
 }
 
-// applyChunk stages the chunk's bytes, applies every frame they
-// complete, appends those frames verbatim to the local WAL (durability
-// before visibility, the leader's own ordering), and publishes the new
-// graph to the sink.
+// applyChunk stages the chunk's bytes behind any partial frame held
+// from earlier chunks and hands them to the mirror engine, which
+// verifies, applies and durably appends every complete frame
+// (durability before visibility, the leader's own ordering), then
+// publishes the new graph to the sink. On error nothing was appended
+// and the staged bytes are dropped: the next request re-reads from the
+// durable offset.
 func (f *Follower) applyChunk(chunk Chunk, sink Sink) error {
 	f.mu.Lock()
 	stage := append(f.stage, chunk.Data...)
+	applied := f.status.AppliedRecords
 	f.mu.Unlock()
 
-	dec := NewDecoder()
-	consumed, err := dec.Feed(stage)
+	next, fresh, n, err := f.eng.AppendFrames(f.cur, stage)
 	if err != nil {
+		f.mu.Lock()
+		f.stage = nil
+		f.mu.Unlock()
 		return err
 	}
-
-	var (
-		next    *graph.Graph
-		fresh   []dict.Triple3
-		records int
-	)
-	if consumed > 0 {
-		defines0 := f.applier.Defines()
-		next = f.cur.Clone()
-		for {
-			payload, _, ok := dec.Next()
-			if !ok {
-				break
-			}
-			rec, err := f.applier.Apply(next, payload)
-			if err != nil {
-				return fmt.Errorf("repl: applying streamed record: %w", err)
-			}
-			if rec.IsTriple && rec.New {
-				fresh = append(fresh, rec.Triple)
-			}
-			records++
-		}
-		defines := f.applier.Defines() - defines0
-		if err := f.eng.AppendRaw(stage[:consumed], records, defines); err != nil {
-			return fmt.Errorf("repl: mirroring batch: %w", err)
-		}
+	rest := stage[n:]
+	if n > 0 {
+		rest = bytes.Clone(rest) // release the appended prefix
 	}
-
-	rest := make([]byte, len(stage)-consumed)
-	copy(rest, stage[consumed:])
 
 	ts := f.eng.TailState()
-	lagBytes := chunk.WALSize - ts.WALSize
-	lagRecords := chunk.WALRecords - ts.WALRecords
-	if lagBytes < 0 {
-		lagBytes = 0
-	}
-	if lagRecords < 0 {
-		lagRecords = 0
-	}
+	records := ts.WALRecords - applied
+	lagBytes := max(chunk.WALSize-ts.WALSize, 0)
+	lagRecords := max(chunk.WALRecords-ts.WALRecords, 0)
 
 	f.mu.Lock()
 	f.stage = rest
-	if next != nil {
-		f.cur = next
-	}
+	f.cur = next
 	f.status.AppliedBytes = ts.WALSize
 	f.status.AppliedRecords = ts.WALRecords
 	f.status.LeaderWALSize = chunk.WALSize
@@ -585,53 +417,4 @@ func (f *Follower) Close() error {
 		return nil
 	}
 	return eng.Close()
-}
-
-// writeFileSynced writes b to path and optionally fsyncs it.
-func writeFileSynced(path string, b []byte, sync bool) error {
-	fh, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := fh.Write(b); err != nil {
-		fh.Close()
-		return err
-	}
-	if sync {
-		if err := fh.Sync(); err != nil {
-			fh.Close()
-			return err
-		}
-	}
-	return fh.Close()
-}
-
-// copyFileSynced streams r into path and optionally fsyncs it.
-func copyFileSynced(path string, r io.Reader, sync bool) error {
-	fh, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(fh, r); err != nil {
-		fh.Close()
-		return err
-	}
-	if sync {
-		if err := fh.Sync(); err != nil {
-			fh.Close()
-			return err
-		}
-	}
-	return fh.Close()
-}
-
-// syncDirBestEffort fsyncs a directory so completed renames survive a
-// crash.
-func syncDirBestEffort(dir string) error {
-	df, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer df.Close()
-	return df.Sync()
 }

@@ -1,11 +1,15 @@
 package repl
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -147,19 +151,34 @@ func assertSameGraph(t *testing.T, f *Follower, lg *graph.Graph) {
 }
 
 // assertByteMirror checks the invariant everything else rides on: the
-// follower's local WAL file is byte-identical to the leader's.
+// follower's local WAL file is byte-identical to the leader's. The
+// files are compared block by block, so a large log is never held
+// twice in memory.
 func assertByteMirror(t *testing.T, followerDir, leaderDir string) {
 	t.Helper()
-	fb, err := os.ReadFile(filepath.Join(followerDir, persist.WALFile))
-	if err != nil {
-		t.Fatal(err)
+	open := func(dir string) *bufio.Reader {
+		fh, err := os.Open(filepath.Join(dir, persist.WALFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fh.Close() })
+		return bufio.NewReaderSize(fh, 1<<20)
 	}
-	lb, err := os.ReadFile(filepath.Join(leaderDir, persist.WALFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fb, lb) {
-		t.Fatalf("mirror diverged: follower WAL %d bytes, leader %d", len(fb), len(lb))
+	fr, lr := open(followerDir), open(leaderDir)
+	fb, lb := make([]byte, 1<<20), make([]byte, 1<<20)
+	for off := 0; ; {
+		fn, ferr := io.ReadFull(fr, fb)
+		ln, lerr := io.ReadFull(lr, lb)
+		if !bytes.Equal(fb[:fn], lb[:ln]) {
+			t.Fatalf("mirror diverged in the 1 MiB block at offset %d", off)
+		}
+		if ferr != nil || lerr != nil {
+			if (ferr == nil) != (lerr == nil) {
+				t.Fatalf("mirror diverged: follower WAL ends %v, leader %v, at offset %d", ferr, lerr, off+fn)
+			}
+			return
+		}
+		off += fn
 	}
 }
 
@@ -392,7 +411,7 @@ func TestFollowerProvisionalMetaRedone(t *testing.T) {
 	}
 
 	// Simulate the crash window: provisional marker, half-gone files.
-	if err := os.WriteFile(filepath.Join(dir, MetaFile), []byte(`{"generation":"0"}`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, persist.MirrorFile), []byte(`{"generation":"0"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Truncate(filepath.Join(dir, persist.WALFile), 7); err != nil {
@@ -409,6 +428,60 @@ func TestFollowerProvisionalMetaRedone(t *testing.T) {
 	}
 	assertSameGraph(t, f2, l.g)
 	assertByteMirror(t, dir, l.dir)
+}
+
+// TestFollowerLargeRecord: one triple whose literal is 65 MiB is a
+// record the leader logs and replays; it must replicate too, and the
+// mirror must replay it on restart. Were the mirror's record bound
+// below the leader's, the follower would call the frame damaged and
+// re-request the same range forever.
+func TestFollowerLargeRecord(t *testing.T) {
+	// Collect eagerly: the test holds several 65 MiB buffers, and its
+	// footprint (times the race detector's shadow) should stay near
+	// that live set.
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	l := newTestLeader(t)
+	l.add(t, 1, 0)
+	dir := t.TempDir()
+	cfg := fastCfg(dir, NewLeader(l.eng))
+	f, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stop := startRun(f, &memSink{})
+	defer stop()
+
+	// Logged while the follower tails, so it arrives through tail
+	// chunks rather than the bootstrap copy.
+	big := term.NewLiteral(strings.Repeat("x", 65<<20))
+	enc := dict.Triple3{l.d.Intern(term.NewIRI("urn:big")), l.d.Intern(term.NewIRI("urn:p")), l.d.Intern(big)}
+	l.g.AddID(enc)
+	if err := l.eng.Append(l.d, []dict.Triple3{enc}); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, f, l)
+	stop()
+	assertSameGraph(t, f, l.g)
+	assertByteMirror(t, dir, l.dir)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restarted, the mirror recovers locally: WAL replay accepts the
+	// record the mirror's append accepted.
+	f2, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f2.Close()
+	if n := f2.Status().Bootstraps; n != 0 {
+		t.Fatalf("restart bootstrapped %d times, want a local recovery", n)
+	}
+	d, fg := f2.Current()
+	if id, ok := d.Lookup(big); !ok || !fg.HasID(dict.Triple3{enc[0], enc[1], id}) {
+		t.Fatal("restarted follower lacks the 65 MiB literal")
+	}
 }
 
 // TestLeaderTailValidation: offsets beyond the durable size and foreign

@@ -2,13 +2,13 @@ package repl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"semwebdb/internal/dict"
-	"semwebdb/internal/graph"
 	"semwebdb/internal/persist"
 	"semwebdb/internal/term"
 )
@@ -62,15 +62,17 @@ func corpusSeeds(tb testing.TB) map[string][]byte {
 	// Swap the first two frames: each frame stays self-consistent, but
 	// the stream's record order (and so its define/reference ordering)
 	// is wrong — the applier's problem, which must reject cleanly.
-	d := NewDecoder()
-	if _, err := d.Feed(valid); err != nil {
-		tb.Fatal(err)
-	}
-	_, n0, _ := d.Next()
-	_, n1, _ := d.Next()
+	n0 := 8 + int(binary.LittleEndian.Uint32(valid[0:4]))
+	n1 := 8 + int(binary.LittleEndian.Uint32(valid[n0:n0+4]))
 	reordered := append([]byte{}, valid[n0:n0+n1]...)
 	reordered = append(reordered, valid[:n0]...)
 	reordered = append(reordered, valid[n0+n1:]...)
+
+	// A frame claiming a 65 MiB payload, within the 1 GiB record
+	// bound: the leader logs and replays such a record, so a mirror
+	// must stage it as a partial frame, not reject it.
+	large := binary.LittleEndian.AppendUint32(bytes.Clone(valid), 65<<20)
+	large = append(large, 0, 0, 0, 0, 'x', 'y')
 
 	var chunk bytes.Buffer
 	if err := WriteChunk(&chunk, Chunk{Generation: 3, From: persist.WALHeaderSize, WALSize: int64(persist.WALHeaderSize + len(valid)), WALRecords: 12, Data: valid}); err != nil {
@@ -83,6 +85,7 @@ func corpusSeeds(tb testing.TB) map[string][]byte {
 		"seed-torn":      truncated,
 		"seed-bitflip":   bitflip,
 		"seed-reordered": reordered,
+		"seed-large-len": large,
 		"seed-chunk":     chunk.Bytes(),
 	}
 }
@@ -107,21 +110,22 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	}
 }
 
-// FuzzReplStream feeds arbitrary bytes through the full follower decode
-// path: the frame decoder in data-derived chunk sizes, then the record
-// applier over whatever decodes. Invariants: never panic, never buffer
-// unboundedly, account for every byte (consumed + buffered = fed, until
-// the first corruption), hand back only CRC-intact frames, and reject —
-// rather than apply — records that are semantically invalid for the
-// state. The chunk reader gets the same bytes: if they parse as a
-// chunk, re-encoding the header must reproduce it byte for byte.
+// FuzzReplStream feeds arbitrary bytes through the full follower
+// path: the chunk reader, then a mirror engine's AppendFrames in
+// data-derived chunk sizes, staged the way the follower stages them.
+// Invariants: never panic, never buffer unboundedly, account for every
+// byte (appended + staged = fed, until the first error), append
+// nothing on an error, and reject — rather than apply — records that
+// are semantically invalid for the state. What the mirror appended
+// must replay, on crash recovery's path, to the graph it published.
 func FuzzReplStream(f *testing.F) {
 	for _, data := range corpusSeeds(f) {
 		f.Add(data)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Chunk-framing arm.
+		// Chunk-framing arm: if the bytes parse as a chunk, re-encoding
+		// the header must reproduce it byte for byte.
 		if c, err := ReadChunk(bytes.NewReader(data)); err == nil {
 			hdr := EncodeChunkHeader(nil, c)
 			if !bytes.Equal(hdr, data[:chunkHdrSize]) {
@@ -129,57 +133,55 @@ func FuzzReplStream(f *testing.F) {
 			}
 		}
 
-		// Frame-decoder arm, fed in slices whose size the input chooses.
+		// Frame arm, fed in slices whose size the input chooses.
+		dir := t.TempDir()
+		eng, _, g, err := persist.Open(dir, persist.Options{NoSync: true, CompactThreshold: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
 		step := 1
 		if len(data) > 0 {
 			step = int(data[0])%97 + 1
 		}
-		dec := NewDecoder()
-		consumed, corrupt := 0, false
-		for off := 0; off < len(data); off += step {
-			end := off + step
-			if end > len(data) {
-				end = len(data)
+		m := &mirrorFeed{eng: eng, g: g}
+		failed := false
+		for off := 0; off < len(data) && !failed; off += step {
+			before := eng.TailState()
+			if err := m.feed(data[off:min(off+step, len(data))]); err != nil {
+				if ts := eng.TailState(); ts != before {
+					t.Fatalf("failed batch (%v) changed the log: %+v -> %+v", err, before, ts)
+				}
+				failed = true
 			}
-			n, err := dec.Feed(data[off:end])
-			consumed += n
-			if err != nil {
-				corrupt = true
-				break
+			if ts := eng.TailState(); ts.WALSize != persist.WALHeaderSize+int64(m.consumed) {
+				t.Fatalf("log holds %d bytes, %d consumed past the header", ts.WALSize, m.consumed)
 			}
 		}
-		if consumed > len(data) {
-			t.Fatalf("consumed %d of %d fed bytes", consumed, len(data))
-		}
-		if !corrupt && consumed+dec.Buffered() != len(data) {
-			t.Fatalf("lost bytes: consumed %d + buffered %d != fed %d", consumed, dec.Buffered(), len(data))
+		if !failed && m.consumed+len(m.stage) != len(data) {
+			t.Fatalf("lost bytes: consumed %d + staged %d != fed %d", m.consumed, len(m.stage), len(data))
 		}
 
-		// Applier arm: decoded records apply or are rejected; a
-		// rejection must not grow the graph.
-		d := dict.New()
-		g := graph.NewWithDict(d)
-		ap := persist.NewApplier(d, 0)
-		framed, applied := 0, 0
-		for {
-			payload, n, ok := dec.Next()
-			if !ok {
-				break
-			}
-			framed += n
-			rec, err := ap.Apply(g, payload)
-			if err != nil {
-				break // semantically invalid for this state: rejected, never applied
-			}
-			if rec.IsTriple && rec.New {
-				applied++
-			}
+		// Apply arm: the graph holds exactly the triples reported fresh,
+		// and replaying the mirror's log rebuilds it.
+		if m.g.Len() != m.fresh {
+			t.Fatalf("graph holds %d triples, %d were reported new", m.g.Len(), m.fresh)
 		}
-		if framed > consumed {
-			t.Fatalf("decoder handed back %d framed bytes but consumed %d", framed, consumed)
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
 		}
-		if g.Len() != applied {
-			t.Fatalf("graph holds %d triples, %d were reported new", g.Len(), applied)
+		_, rg, _, err := persist.OpenReadOnly(dir)
+		if err != nil {
+			t.Fatalf("mirror log does not replay: %v", err)
 		}
+		if rg.Len() != m.g.Len() {
+			t.Fatalf("replay holds %d triples, the mirror published %d", rg.Len(), m.g.Len())
+		}
+		m.g.EachID(func(enc dict.Triple3) bool {
+			if !rg.HasID(enc) {
+				t.Fatalf("replay lost triple %v", enc)
+			}
+			return true
+		})
 	})
 }

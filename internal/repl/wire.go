@@ -2,7 +2,10 @@
 // its durable log — the snapshot it rides beside plus a long-polled
 // tail of appended record frames — and a follower mirrors that log
 // byte for byte into its own database directory, applying records
-// through the same idempotent replay path crash recovery uses.
+// through the same idempotent replay path crash recovery uses. This
+// package owns the transport and the tail loop; every byte and file of
+// the mirror directory is internal/persist's (Engine.AppendFrames,
+// InstallMirror).
 //
 // The unit of agreement is (generation, byte offset) into the leader's
 // WAL. Within a generation the log is append-only, so a follower's
@@ -36,8 +39,8 @@ import (
 // as written, CRCs carried through; at from=0 it begins with the WAL
 // file header. walSize/walRecords are the leader's durable totals at
 // response time, so every chunk doubles as a lag report. A chunk may
-// end mid-record (the leader slices by bytes, not frames); the decoder
-// buffers the partial frame until the next chunk completes it. An
+// end mid-record (the leader slices by bytes, not frames); the follower
+// stages the partial frame until the next chunk completes it. An
 // empty payload is a heartbeat: the long-poll window expired with
 // nothing new.
 const (
@@ -119,9 +122,10 @@ func WriteChunk(w io.Writer, c Chunk) error {
 }
 
 // ReadChunk reads one framed chunk from r. Header fields are validated
-// for shape (magic, version, sane lengths) so a confused or hostile
-// peer cannot make the reader allocate more than the bytes actually
-// sent claim; payload integrity is the frame decoder's job.
+// for shape (magic, version, zero flags, sane lengths) so a confused
+// or hostile peer cannot make the reader allocate more than the bytes
+// actually sent claim, and every accepted header re-encodes to itself;
+// payload integrity is the mirror engine's frame check.
 func ReadChunk(r io.Reader) (Chunk, error) {
 	var c Chunk
 	var hdr [chunkHdrSize]byte
@@ -133,6 +137,9 @@ func ReadChunk(r io.Reader) (Chunk, error) {
 	}
 	if v := binary.LittleEndian.Uint16(hdr[8:10]); v != wireVersion {
 		return c, fmt.Errorf("repl: unsupported wire version %d", v)
+	}
+	if f := binary.LittleEndian.Uint16(hdr[10:12]); f != 0 {
+		return c, fmt.Errorf("repl: unsupported chunk flags %#x", f)
 	}
 	c.Generation = binary.LittleEndian.Uint64(hdr[12:20])
 	c.From = int64(binary.LittleEndian.Uint64(hdr[20:28]))

@@ -59,6 +59,11 @@ func TestReadChunkRejects(t *testing.T) {
 			binary.LittleEndian.PutUint16(b[8:10], wireVersion+1)
 			return b
 		},
+		"nonzero flags": func() []byte {
+			b := bytes.Clone(valid)
+			binary.LittleEndian.PutUint16(b[10:12], 1)
+			return b
+		},
 		"negative from": func() []byte {
 			b := bytes.Clone(valid)
 			binary.LittleEndian.PutUint64(b[20:28], ^uint64(0))

@@ -944,34 +944,26 @@ func (db *DB) Stats() Stats {
 		PreparedFallbackError:          db.prepStats.fbError.Load(),
 		PreparedFallbackStale:          db.prepStats.fbStale.Load(),
 	}
-	switch {
-	case db.replica != nil:
+	st.Persistent = db.replica != nil || db.eng != nil || db.ro != nil
+	// A replica's engine is transiently nil mid-rebootstrap; the
+	// footprint fields read zero then ("not servable right now").
+	if eng := db.engine(); eng != nil {
+		es := eng.Stats()
+		st.SnapshotBytes = es.SnapshotBytes
+		st.WALBytes = es.WALBytes
+		st.WALRecords = es.WALRecords
+	} else if db.ro != nil {
+		st.SnapshotBytes = db.ro.SnapshotBytes
+		st.WALBytes = db.ro.WALBytes
+		st.WALRecords = db.ro.WALRecords
+	}
+	if db.replica != nil {
 		fs := db.replica.f.Status()
-		st.Persistent = true
-		// The engine is transiently nil mid-rebootstrap; the footprint
-		// fields read zero then ("not servable right now").
-		if eng := db.replica.f.Engine(); eng != nil {
-			es := eng.Stats()
-			st.SnapshotBytes = es.SnapshotBytes
-			st.WALBytes = es.WALBytes
-			st.WALRecords = es.WALRecords
-		}
 		st.Replica = true
 		st.ReplAppliedBytes = fs.AppliedBytes
 		st.ReplAppliedRecords = fs.AppliedRecords
 		st.ReplLagBytes = fs.LagBytes
 		st.ReplLagRecords = fs.LagRecords
-	case db.eng != nil:
-		es := db.eng.Stats()
-		st.Persistent = true
-		st.SnapshotBytes = es.SnapshotBytes
-		st.WALBytes = es.WALBytes
-		st.WALRecords = es.WALRecords
-	case db.ro != nil:
-		st.Persistent = true
-		st.SnapshotBytes = db.ro.SnapshotBytes
-		st.WALBytes = db.ro.WALBytes
-		st.WALRecords = db.ro.WALRecords
 	}
 	return st
 }

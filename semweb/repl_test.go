@@ -333,7 +333,7 @@ func TestReplCrashRestartMatrix(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			copyDir(t, dir)
-			if err := os.WriteFile(filepath.Join(dir, repl.MetaFile), []byte(`{"generation":"0"}`), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, persist.MirrorFile), []byte(`{"generation":"0"}`), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			damage(t, dir)

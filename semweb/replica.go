@@ -110,25 +110,33 @@ func (r *replica) stop() error {
 	return r.f.Close()
 }
 
+// engine is the storage engine backing db: the mirror's for a replica
+// (nil in the mid-rebootstrap window, when the previous mirror is gone
+// and the next one is not durable yet), the database's own otherwise
+// (nil for an in-memory or read-only database). Stats, ReplState and
+// the replication reads all resolve it here.
+func (db *DB) engine() *persist.Engine {
+	if db.replica != nil {
+		return db.replica.f.Engine()
+	}
+	return db.eng
+}
+
 // replEngine is the storage engine whose log serves replication reads:
 // the database's own for a leader, the mirror's for a replica — which
 // is what lets replicas chain (a mirror is a byte-exact prefix of the
 // leader's log, so tailing it is tailing the leader, one hop removed).
 func (db *DB) replEngine() (*persist.Engine, error) {
-	if db.replica != nil {
-		eng := db.replica.f.Engine()
-		if eng == nil {
-			// Mid-rebootstrap window: the previous mirror is gone and the
-			// next one is not durable yet, so any generation a
-			// sub-follower asks about no longer exists.
-			return nil, ErrWrongGeneration
-		}
+	switch eng := db.engine(); {
+	case eng != nil:
 		return eng, nil
-	}
-	if db.eng == nil {
+	case db.replica != nil:
+		// Mid-rebootstrap: any generation a sub-follower asks about no
+		// longer exists.
+		return nil, ErrWrongGeneration
+	default:
 		return nil, ErrNotPersistent
 	}
-	return db.eng, nil
 }
 
 // ReplState is a database's replication state, served by semwebd's
@@ -188,6 +196,7 @@ type ReplChunk struct {
 // durable log to follow.
 func (db *DB) ReplState() (ReplState, error) {
 	var st ReplState
+	eng := db.engine()
 	if db.replica != nil {
 		// Fill the progress fields first, from the follower's own
 		// status: they stay meaningful even in the mid-rebootstrap
@@ -204,24 +213,16 @@ func (db *DB) ReplState() (ReplState, error) {
 		st.LagRecords = fs.LagRecords
 		st.Bootstraps = fs.Bootstraps
 		st.Reconnects = fs.Reconnects
-		if eng := db.replica.f.Engine(); eng != nil {
-			ts := eng.TailState()
-			st.Generation = ts.Gen
-			st.WALSize = ts.WALSize
-			st.WALRecords = ts.WALRecords
-			st.SnapshotBytes = ts.SnapshotBytes
-		}
-		return st, nil
+	} else if eng == nil {
+		return ReplState{}, ErrNotPersistent
 	}
-	eng, err := db.replEngine()
-	if err != nil {
-		return ReplState{}, err
+	if eng != nil {
+		ts := eng.TailState()
+		st.Generation = ts.Gen
+		st.WALSize = ts.WALSize
+		st.WALRecords = ts.WALRecords
+		st.SnapshotBytes = ts.SnapshotBytes
 	}
-	ts := eng.TailState()
-	st.Generation = ts.Gen
-	st.WALSize = ts.WALSize
-	st.WALRecords = ts.WALRecords
-	st.SnapshotBytes = ts.SnapshotBytes
 	return st, nil
 }
 
