@@ -28,12 +28,13 @@ test-race:
 	$(GO) test -race -count=1 ./...
 
 # Repeated race-detector runs of the semweb concurrency tests: writers,
-# readers and paper operations racing the prepared cache, and cursors
-# closed mid-stream. Interleavings vary run to run, so -count=20 gives
-# the scheduler twenty chances to find what one pass misses. CI runs
-# this after test-race.
+# readers and paper operations racing the prepared cache, cursors
+# closed mid-stream, and replicas committing tail chunks through the
+# DB's commit path while Close stops them. Interleavings vary run to
+# run, so -count=20 gives the scheduler twenty chances to find what one
+# pass misses. CI runs this after test-race.
 test-stress:
-	$(GO) test -race -count=20 -run 'Concurrent|StreamClose' ./semweb/...
+	$(GO) test -race -count=20 -run 'Concurrent|StreamClose|Repl' ./semweb/...
 
 # The benchmark harness is its own module (cmd/semwebbench/go.mod), so
 # `go build ./...` and `go test ./...` at the root never compile it;

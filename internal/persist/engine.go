@@ -51,7 +51,7 @@ const DefaultCompactThreshold = 64 << 20
 type Engine struct {
 	dir  string
 	opts Options
-	// applier applies AppendFrames' records; like the log it feeds, it
+	// applier decodes AppendFrames' records; like the log it feeds, it
 	// is touched only by the owner's serialized mutations.
 	applier *applier
 

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 
 	"semwebdb/internal/dict"
-	"semwebdb/internal/graph"
 )
 
 // ErrWrongGeneration reports that a requested WAL generation no longer
@@ -185,52 +184,51 @@ func (e *Engine) OpenSnapshot(gen uint64) (io.ReadCloser, int64, error) {
 
 // AppendFrames is the mirror half of replication: b is a suffix of a
 // leader's log, starting at this engine's durable size. AppendFrames
-// verifies the complete record frames at the start of b, applies them
-// to a clone of g, and appends exactly those n bytes with one fsync —
-// durability before the caller publishes next. A trailing partial
-// frame is left for the caller to complete with later bytes (n == 0
-// and next == g when b holds no complete frame). On a damaged frame
-// (ErrBadFrame), a record that does not apply to g, or a failed
-// append, nothing is appended and g is untouched.
+// verifies the complete record frames at the start of b, decodes them
+// into d — define records intern their terms, triple records resolve
+// to the returned batch, duplicates included — and appends exactly
+// those n bytes with one fsync, so the batch is durable before the
+// caller commits it. A trailing partial frame is left for the caller
+// to complete with later bytes (n == 0 and an empty batch when b holds
+// no complete frame). On a damaged frame (ErrBadFrame), a record that
+// does not decode against d, or a failed append, nothing is appended.
 //
-// g must be over the dictionary Open recovered. The records are
-// applied through an applier the engine owns, seeded from the WAL's
-// durable ID watermark on first use and re-seeded whenever the log's
-// watermark moved without it (a failed batch, an Append), so define
-// records resolve across calls as a replay of the mirror resolves
-// them.
-func (e *Engine) AppendFrames(g *graph.Graph, b []byte) (next *graph.Graph, fresh []dict.Triple3, n int, err error) {
+// d must be the dictionary Open recovered. The records are decoded
+// through an applier the engine owns, seeded from the WAL's durable ID
+// watermark on first use and re-seeded whenever the log's watermark
+// moved without it (a failed batch, an Append), so define records
+// resolve across calls as a replay of the mirror resolves them.
+func (e *Engine) AppendFrames(d *dict.Dict, b []byte) (batch []dict.Triple3, n int, err error) {
 	payloads, n, err := splitFrames(b)
 	if err != nil || n == 0 {
-		return g, nil, 0, err
+		return nil, 0, err
 	}
 	e.mu.Lock()
 	defined := e.wal.defined
 	e.mu.Unlock()
 	a := e.applier
 	if a == nil || a.watermark() != defined {
-		a = newApplier(g.Dict(), defined)
+		a = newApplier(d, defined)
 		e.applier = a
 	}
-	next = g.Clone()
 	for _, p := range payloads {
-		rec, err := a.apply(next, p)
+		t, isTriple, err := a.apply(p)
 		if err != nil {
-			return g, nil, 0, fmt.Errorf("persist: applying mirrored record: %w", err)
+			return nil, 0, fmt.Errorf("persist: applying mirrored record: %w", err)
 		}
-		if rec.isTriple && rec.added {
-			fresh = append(fresh, rec.triple)
+		if isTriple {
+			batch = append(batch, t)
 		}
 	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return g, nil, 0, fmt.Errorf("persist: engine is closed")
+		return nil, 0, fmt.Errorf("persist: engine is closed")
 	}
 	if err := e.wal.appendFrames(b[:n], len(payloads), int(a.watermark()-defined)); err != nil {
-		return g, nil, 0, err
+		return nil, 0, err
 	}
 	e.notifyTailLocked()
-	return next, fresh, n, nil
+	return batch, n, nil
 }

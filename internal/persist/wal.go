@@ -76,8 +76,8 @@ type ReplayStats struct {
 	Valid int64
 }
 
-// applier applies WAL record payloads, one at a time, to a dictionary
-// and graph: the one record path behind crash-recovery replay
+// applier decodes WAL record payloads, one at a time, against a
+// dictionary: the one record path behind crash-recovery replay
 // (ReplayWAL) and a replication mirror's appends (Engine.AppendFrames).
 //
 // base is the durable ID watermark the record stream starts above:
@@ -106,67 +106,57 @@ func newApplier(d *dict.Dict, base dict.ID) *applier {
 // far: base plus their define records.
 func (a *applier) watermark() dict.ID { return dict.ID(a.base + uint64(a.defines)) }
 
-// appliedRecord describes the effect of one applied record.
-type appliedRecord struct {
-	isTriple bool         // an add-triple record, not a define-term one
-	triple   dict.Triple3 // in live-dictionary IDs (add-triple only)
-	added    bool         // the graph did not already hold the triple
-}
-
-// apply applies one intact record payload (its frame already verified)
-// to g. Errors mean the record is semantically invalid for the state it
-// was applied to.
-func (a *applier) apply(g *graph.Graph, payload []byte) (appliedRecord, error) {
-	var rec appliedRecord
+// apply decodes one intact record payload (its frame already
+// verified): a define record interns its term into the dictionary, an
+// add-triple record returns its triple (isTriple) in live-dictionary
+// IDs. No graph is touched: the caller adds the triple where it
+// belongs. Errors mean the record is semantically invalid for the
+// stream it was read from.
+func (a *applier) apply(payload []byte) (t dict.Triple3, isTriple bool, err error) {
 	c := &cursor{p: payload}
 	kind, err := c.byte1()
 	if err != nil {
-		return rec, err
+		return t, false, err
 	}
 	switch kind {
 	case recDefineTerm:
-		t, err := decodeTerm(c)
+		tm, err := decodeTerm(c)
 		if err != nil {
-			return rec, fmt.Errorf("record %d: %w", a.records+1, err)
+			return t, false, fmt.Errorf("record %d: %w", a.records+1, err)
 		}
 		a.defines++
-		a.remap[a.watermark()] = a.d.Intern(t)
+		a.remap[a.watermark()] = a.d.Intern(tm)
 	case recAddTriple:
-		var t dict.Triple3
 		for i := 0; i < 3; i++ {
 			raw, err := c.uvarint()
 			if err != nil {
-				return rec, fmt.Errorf("record %d: %w", a.records+1, err)
+				return t, false, fmt.Errorf("record %d: %w", a.records+1, err)
 			}
 			id := dict.ID(raw)
 			if uint64(id) != raw || id == dict.Wildcard {
-				return rec, corruptf("record %d: invalid term ID %d", a.records+1, raw)
+				return t, false, corruptf("record %d: invalid term ID %d", a.records+1, raw)
 			}
 			if raw > a.base {
 				real, ok := a.remap[id]
 				if !ok {
-					return rec, corruptf("record %d: triple references undefined term ID %d", a.records+1, raw)
+					return t, false, corruptf("record %d: triple references undefined term ID %d", a.records+1, raw)
 				}
 				id = real
 			}
 			t[i] = id
 		}
-		rec.isTriple = true
-		rec.triple = t
-		if !g.HasID(t) {
-			if !g.AddID(t) {
-				return rec, corruptf("record %d: ill-formed triple %v", a.records+1, t)
-			}
-			rec.added = true
+		if !graph.WellFormedID(a.d, t) {
+			return t, false, corruptf("record %d: ill-formed triple %v", a.records+1, t)
 		}
+		isTriple = true
 	default:
-		return rec, corruptf("record %d: unknown kind %d", a.records+1, kind)
+		return t, false, corruptf("record %d: unknown kind %d", a.records+1, kind)
 	}
 	if !c.done() {
-		return rec, corruptf("record %d: %d trailing bytes", a.records+1, c.remaining())
+		return t, false, corruptf("record %d: %d trailing bytes", a.records+1, c.remaining())
 	}
 	a.records++
-	return rec, nil
+	return t, isTriple, nil
 }
 
 // ReplayWAL reads a WAL stream, applying its records to the
@@ -200,11 +190,12 @@ func ReplayWAL(r io.Reader, d *dict.Dict, g *graph.Graph) (ReplayStats, error) {
 		if !ok {
 			return res, nil // torn or clean end
 		}
-		rec, err := a.apply(g, payload)
+		t, isTriple, err := a.apply(payload)
 		if err != nil {
 			return res, err
 		}
-		if rec.isTriple {
+		if isTriple {
+			g.AddID(t)
 			res.Applied++
 		} else {
 			res.Defines++
@@ -429,7 +420,7 @@ func (w *WAL) Append(d *dict.Dict, triples []dict.Triple3) error {
 }
 
 // appendFrames appends record frames verbatim — a mirror extending its
-// copy of a leader's log. Engine.AppendFrames has verified and applied
+// copy of a leader's log. Engine.AppendFrames has verified and decoded
 // every frame, and passes the record and define counts its applier
 // observed, so the accounting (and the durable ID watermark replay
 // ordinals resolve against) stays exact.

@@ -82,25 +82,32 @@ func newMirror(t *testing.T) (*persist.Engine, *graph.Graph) {
 	return eng, g
 }
 
-// mirrorFeed hands chunks to a mirror engine the way the follower does:
-// each staged behind any partial frame held from earlier chunks.
+// mirrorFeed hands chunks to a mirror engine the way the follower does,
+// each staged behind any partial frame held from earlier chunks, and
+// commits every returned batch to g the way a replica's sink does.
 type mirrorFeed struct {
-	eng      *persist.Engine
-	g        *graph.Graph
-	stage    []byte
-	consumed int
-	fresh    int
+	eng       *persist.Engine
+	g         *graph.Graph
+	stage     []byte
+	consumed  int
+	committed []dict.Triple3 // every triple of every batch, in order
+	fresh     int            // the ones g did not hold yet
 }
 
 func (m *mirrorFeed) feed(chunk []byte) error {
 	m.stage = append(m.stage, chunk...)
-	next, fresh, n, err := m.eng.AppendFrames(m.g, m.stage)
+	batch, n, err := m.eng.AppendFrames(m.g.Dict(), m.stage)
 	if err != nil {
 		return err
 	}
-	m.g, m.stage = next, m.stage[n:]
+	m.stage = m.stage[n:]
 	m.consumed += n
-	m.fresh += len(fresh)
+	m.committed = append(m.committed, batch...)
+	for _, t := range batch {
+		if m.g.AddID(t) {
+			m.fresh++
+		}
+	}
 	return nil
 }
 
@@ -246,12 +253,12 @@ func TestDecoderReorderedFramesDetected(t *testing.T) {
 	}
 	eng, g := newMirror(t)
 	before := eng.TailState()
-	next, fresh, n, err := eng.AppendFrames(g, reordered)
+	batch, n, err := eng.AppendFrames(g.Dict(), reordered)
 	if err == nil || errors.Is(err, persist.ErrBadFrame) {
 		t.Fatalf("err = %v, want an apply error", err)
 	}
-	if next != g || fresh != nil || n != 0 || g.Len() != 0 {
-		t.Fatalf("rejected batch applied: next==g %v, %d fresh, n %d, %d triples", next == g, len(fresh), n, g.Len())
+	if batch != nil || n != 0 {
+		t.Fatalf("rejected batch returned: %d triples, n %d", len(batch), n)
 	}
 	if ts := eng.TailState(); ts != before {
 		t.Fatalf("rejected batch changed the log: %+v -> %+v", before, ts)

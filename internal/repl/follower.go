@@ -59,37 +59,37 @@ type Status struct {
 	Reconnects uint64
 }
 
-// Sink receives the follower's replicated state. Publish is called
-// once per applied batch, after the batch is durable in the local
-// mirror, with the new graph (a fresh value; the previous one is never
-// mutated) and the triples this batch actually added. Reset replaces
-// everything after a re-bootstrap: prior dictionaries and graphs are
-// obsolete.
+// Sink owns the follower's replicated state; the follower keeps no
+// graph. Commit is called once per tail chunk that held complete
+// records, after their bytes are durable in the local mirror, with
+// every triple they carry — duplicates included, none when the chunk
+// held only define records — encoded against the dictionary of Open's
+// graph or the last Reset. Reset replaces everything after a
+// re-bootstrap: prior dictionaries and graphs are obsolete.
 type Sink interface {
 	Reset(d *dict.Dict, g *graph.Graph)
-	Publish(g *graph.Graph, fresh []dict.Triple3)
+	Commit(batch []dict.Triple3)
 }
 
 // Follower mirrors a leader's durable log into a local database
-// directory and applies it to an in-memory graph as it arrives. Open
-// establishes a servable state (bootstrapping from the leader only
-// when the local mirror is missing or unusable); Run tails the leader
-// until the context ends, feeding a Sink. Methods other than Run and
-// Close are safe to call concurrently with Run.
+// directory and hands the decoded records to a Sink as they arrive.
+// Open establishes a servable state (bootstrapping from the leader
+// only when the local mirror is missing or unusable) and returns it;
+// Run tails the leader until the context ends, feeding a Sink. Methods
+// other than Run and Close are safe to call concurrently with Run.
 type Follower struct {
 	cfg Config
 	mg  gauges
 
 	mu sync.Mutex
 	// eng through gen are published under mu for concurrent readers
-	// (Current, Engine, Status); the Run/bootstrap goroutine is their
-	// sole writer and reads them without the lock.
+	// (Engine, Status); the Run/bootstrap goroutine is their sole
+	// writer and reads them without the lock.
 	eng    *persist.Engine
-	d      *dict.Dict
-	cur    *graph.Graph
-	gen    uint64 // leader generation mirrored
-	stage  []byte // guarded by mu; fetched beyond durable: a partial record frame
-	status Status // guarded by mu
+	d      *dict.Dict // the mirror's dictionary, which records decode into
+	gen    uint64     // leader generation mirrored
+	stage  []byte     // guarded by mu; fetched beyond durable: a partial record frame
+	status Status     // guarded by mu
 }
 
 // Open prepares a follower over dir. When dir already holds a mirror
@@ -99,10 +99,11 @@ type Follower struct {
 // its leader is down, serving its last applied state until Run
 // reconnects. Otherwise the leader is contacted for a full bootstrap
 // (persist.InstallMirror), which refuses a directory that holds a
-// database but no mirror marker.
-func Open(ctx context.Context, cfg Config) (*Follower, error) {
+// database but no mirror marker. The caller owns the returned graph,
+// the mirror's state, and keeps it current as the Sink Run feeds.
+func Open(ctx context.Context, cfg Config) (*Follower, *graph.Graph, error) {
 	if cfg.Dir == "" || cfg.Source == nil {
-		return nil, fmt.Errorf("repl: Config.Dir and Config.Source are required")
+		return nil, nil, fmt.Errorf("repl: Config.Dir and Config.Source are required")
 	}
 	if cfg.Name == "" {
 		cfg.Name = "default"
@@ -120,25 +121,26 @@ func Open(ctx context.Context, cfg Config) (*Follower, error) {
 
 	gen, err := persist.MirrorGeneration(cfg.Dir)
 	if err != nil {
-		return nil, fmt.Errorf("repl: %w", err)
+		return nil, nil, fmt.Errorf("repl: %w", err)
 	}
 	if gen != 0 {
-		if err := f.openLocal(gen); err == nil {
-			return f, nil
+		if g, err := f.openLocal(gen); err == nil {
+			return f, g, nil
 		}
 		// The local mirror did not recover (damage past what WAL
 		// recovery absorbs). It is only a cache of the leader's log:
 		// fall through to a fresh bootstrap.
 	}
-	if err := f.bootstrap(ctx); err != nil {
-		return nil, err
+	g, err := f.bootstrap(ctx)
+	if err != nil {
+		return nil, nil, err
 	}
-	return f, nil
+	return f, g, nil
 }
 
 // openLocal recovers the existing mirror without contacting the
-// leader.
-func (f *Follower) openLocal(gen uint64) error {
+// leader, installs it into the follower and returns its graph.
+func (f *Follower) openLocal(gen uint64) (*graph.Graph, error) {
 	eng, d, g, err := persist.Open(f.cfg.Dir, persist.Options{
 		// Never compact a mirror: its WAL must stay a byte prefix of
 		// the leader's.
@@ -146,20 +148,13 @@ func (f *Follower) openLocal(gen uint64) error {
 		NoSync:           f.cfg.NoSync,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	f.install(eng, d, g, gen)
-	return nil
-}
-
-// install publishes a freshly opened mirror into the follower.
-func (f *Follower) install(eng *persist.Engine, d *dict.Dict, g *graph.Graph, gen uint64) {
 	ts := eng.TailState()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.eng = eng
 	f.d = d
-	f.cur = g
 	f.gen = gen
 	f.stage = nil
 	f.status.Generation = gen
@@ -175,34 +170,36 @@ func (f *Follower) install(eng *persist.Engine, d *dict.Dict, g *graph.Graph, ge
 	f.mg.appliedBytes.Set(ts.WALSize)
 	f.mg.lagBytes.Set(0)
 	f.mg.lagRecords.Set(0)
+	return g, nil
 }
 
 // bootstrap rebuilds the mirror from the leader's current generation
 // (persist.InstallMirror owns the crash-safe order: provisional
-// marker, wipe, snapshot, WAL prefix, final marker) and opens it. A
-// generation switch racing the bootstrap restarts it.
-func (f *Follower) bootstrap(ctx context.Context) error {
+// marker, wipe, snapshot, WAL prefix, final marker), opens it and
+// returns its graph. A generation switch racing the bootstrap restarts
+// it.
+func (f *Follower) bootstrap(ctx context.Context) (*graph.Graph, error) {
 	for {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		err := f.bootstrapOnce(ctx)
+		g, err := f.bootstrapOnce(ctx)
 		if err == nil {
 			f.mg.bootstraps.Inc()
 			f.mu.Lock()
 			f.status.Bootstraps++
 			f.mu.Unlock()
-			return nil
+			return g, nil
 		}
 		if !errors.Is(err, persist.ErrWrongGeneration) {
-			return err
+			return nil, err
 		}
 		// The leader compacted or swapped mid-bootstrap; start over on
 		// its new generation.
 	}
 }
 
-func (f *Follower) bootstrapOnce(ctx context.Context) error {
+func (f *Follower) bootstrapOnce(ctx context.Context) (*graph.Graph, error) {
 	if f.eng != nil {
 		f.eng.Close()
 		f.mu.Lock()
@@ -211,12 +208,12 @@ func (f *Follower) bootstrapOnce(ctx context.Context) error {
 	}
 	st, err := f.cfg.Source.State(ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	gen := st.Generation
 	rc, _, err := f.cfg.Source.Snapshot(ctx, gen)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if rc != nil {
 		defer rc.Close()
@@ -236,7 +233,7 @@ func (f *Follower) bootstrapOnce(ctx context.Context) error {
 		}
 	}
 	if err := persist.InstallMirror(f.cfg.Dir, gen, rc, copyWAL, !f.cfg.NoSync); err != nil {
-		return err
+		return nil, err
 	}
 	return f.openLocal(gen)
 }
@@ -253,7 +250,8 @@ func (f *Follower) Run(ctx context.Context, sink Sink) error {
 			return err
 		}
 		if rebuild {
-			if err := f.rebootstrap(ctx, sink); err != nil {
+			g, err := f.bootstrap(ctx)
+			if err != nil {
 				if ctx.Err() != nil {
 					return ctx.Err()
 				}
@@ -262,6 +260,7 @@ func (f *Follower) Run(ctx context.Context, sink Sink) error {
 				}
 				continue
 			}
+			sink.Reset(g.Dict(), g)
 			rebuild = false
 		}
 		from := f.fetchedOffset()
@@ -319,33 +318,20 @@ func (f *Follower) noteRetry(ctx context.Context, cause error) bool {
 	}
 }
 
-// rebootstrap rebuilds the mirror on the leader's current generation
-// and resets the sink to the fresh state.
-func (f *Follower) rebootstrap(ctx context.Context, sink Sink) error {
-	if err := f.bootstrap(ctx); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	d, g := f.d, f.cur
-	f.mu.Unlock()
-	sink.Reset(d, g)
-	return nil
-}
-
 // applyChunk stages the chunk's bytes behind any partial frame held
 // from earlier chunks and hands them to the mirror engine, which
-// verifies, applies and durably appends every complete frame
+// verifies, decodes and durably appends every complete frame
 // (durability before visibility, the leader's own ordering), then
-// publishes the new graph to the sink. On error nothing was appended
-// and the staged bytes are dropped: the next request re-reads from the
-// durable offset.
+// passes the decoded batch to the sink to commit and reports the bytes
+// applied. On error nothing was appended and the staged bytes are
+// dropped: the next request re-reads from the durable offset.
 func (f *Follower) applyChunk(chunk Chunk, sink Sink) error {
 	f.mu.Lock()
 	stage := append(f.stage, chunk.Data...)
 	applied := f.status.AppliedRecords
 	f.mu.Unlock()
 
-	next, fresh, n, err := f.eng.AppendFrames(f.cur, stage)
+	batch, n, err := f.eng.AppendFrames(f.d, stage)
 	if err != nil {
 		f.mu.Lock()
 		f.stage = nil
@@ -359,12 +345,18 @@ func (f *Follower) applyChunk(chunk Chunk, sink Sink) error {
 
 	ts := f.eng.TailState()
 	records := ts.WALRecords - applied
+	if records > 0 {
+		// Committed before Status reports the bytes applied, so a
+		// caller that sees the new offset reads a sink holding them.
+		sink.Commit(batch)
+		f.mg.batches.Inc()
+		f.mg.records.Add(uint64(records))
+	}
 	lagBytes := max(chunk.WALSize-ts.WALSize, 0)
 	lagRecords := max(chunk.WALRecords-ts.WALRecords, 0)
 
 	f.mu.Lock()
 	f.stage = rest
-	f.cur = next
 	f.status.AppliedBytes = ts.WALSize
 	f.status.AppliedRecords = ts.WALRecords
 	f.status.LeaderWALSize = chunk.WALSize
@@ -376,20 +368,7 @@ func (f *Follower) applyChunk(chunk Chunk, sink Sink) error {
 	f.mg.appliedBytes.Set(ts.WALSize)
 	f.mg.lagBytes.Set(lagBytes)
 	f.mg.lagRecords.Set(int64(lagRecords))
-	if records > 0 {
-		f.mg.batches.Inc()
-		f.mg.records.Add(uint64(records))
-		sink.Publish(next, fresh)
-	}
 	return nil
-}
-
-// Current returns the dictionary and graph of the follower's latest
-// applied state.
-func (f *Follower) Current() (*dict.Dict, *graph.Graph) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.d, f.cur
 }
 
 // Engine exposes the mirror's storage engine — its tail API is what

@@ -59,13 +59,15 @@ func (l *testLeader) add(t *testing.T, n, base int) {
 	}
 }
 
-// memSink records what the follower publishes.
+// memSink owns the replicated graph the way a replica DB does: it
+// starts from the graph Open returned, adds every committed batch to
+// it and counts what was new.
 type memSink struct {
-	mu        sync.Mutex
-	g         *graph.Graph
-	resets    int
-	publishes int
-	fresh     int
+	mu      sync.Mutex
+	g       *graph.Graph
+	resets  int
+	commits int
+	fresh   int
 }
 
 func (s *memSink) Reset(d *dict.Dict, g *graph.Graph) {
@@ -75,18 +77,28 @@ func (s *memSink) Reset(d *dict.Dict, g *graph.Graph) {
 	s.resets++
 }
 
-func (s *memSink) Publish(g *graph.Graph, fresh []dict.Triple3) {
+func (s *memSink) Commit(batch []dict.Triple3) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.g = g
-	s.publishes++
-	s.fresh += len(fresh)
+	for _, t := range batch {
+		if s.g.AddID(t) {
+			s.fresh++
+		}
+	}
+	s.commits++
 }
 
-func (s *memSink) snapshot() (resets, publishes, fresh int) {
+func (s *memSink) snapshot() (resets, commits, fresh int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.resets, s.publishes, s.fresh
+	return s.resets, s.commits, s.fresh
+}
+
+// graph returns the sink's current graph.
+func (s *memSink) graph() *graph.Graph {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.g
 }
 
 // fastCfg returns a follower config with test-speed polling.
@@ -133,12 +145,11 @@ func waitConverged(t *testing.T, f *Follower, l *testLeader) {
 	}
 }
 
-// assertSameGraph checks the follower holds exactly the leader's
-// triples. Both sides replay the same WAL byte stream through fresh
-// dictionaries, so IDs agree and the graphs must be identical.
-func assertSameGraph(t *testing.T, f *Follower, lg *graph.Graph) {
+// assertSameGraph checks the follower's state fg holds exactly the
+// leader's triples. Both sides replay the same WAL byte stream through
+// fresh dictionaries, so IDs agree and the graphs must be identical.
+func assertSameGraph(t *testing.T, fg, lg *graph.Graph) {
 	t.Helper()
-	_, fg := f.Current()
 	if fg.Len() != lg.Len() {
 		t.Fatalf("follower holds %d triples, leader %d", fg.Len(), lg.Len())
 	}
@@ -190,7 +201,7 @@ func TestFollowerBootstrapAndTail(t *testing.T) {
 	l.add(t, 10, 0)
 
 	dir := t.TempDir()
-	f, err := Open(context.Background(), fastCfg(dir, NewLeader(l.eng)))
+	f, g, err := Open(context.Background(), fastCfg(dir, NewLeader(l.eng)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +209,9 @@ func TestFollowerBootstrapAndTail(t *testing.T) {
 	if got := f.Status().Bootstraps; got != 1 {
 		t.Fatalf("Bootstraps = %d after initial sync, want 1", got)
 	}
-	assertSameGraph(t, f, l.g)
+	assertSameGraph(t, g, l.g)
 
-	sink := &memSink{}
+	sink := &memSink{g: g}
 	stop := startRun(f, sink)
 	defer stop()
 
@@ -208,13 +219,13 @@ func TestFollowerBootstrapAndTail(t *testing.T) {
 		l.add(t, 5, 100+10*b)
 	}
 	waitConverged(t, f, l)
-	assertSameGraph(t, f, l.g)
+	assertSameGraph(t, sink.graph(), l.g)
 	stop()
 	assertByteMirror(t, dir, l.dir)
 
-	_, publishes, fresh := sink.snapshot()
-	if publishes == 0 || fresh != 15 {
-		t.Fatalf("sink saw %d publishes with %d fresh triples, want 15 fresh", publishes, fresh)
+	_, commits, fresh := sink.snapshot()
+	if commits == 0 || fresh != 15 {
+		t.Fatalf("sink saw %d commits with %d fresh triples, want 15 fresh", commits, fresh)
 	}
 	st := f.Status()
 	if st.LagBytes != 0 || st.LagRecords != 0 {
@@ -232,12 +243,12 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 	}
 	l.add(t, 7, 100)
 
-	f, err := Open(context.Background(), fastCfg(t.TempDir(), NewLeader(l.eng)))
+	f, g, err := Open(context.Background(), fastCfg(t.TempDir(), NewLeader(l.eng)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	assertSameGraph(t, f, l.g)
+	assertSameGraph(t, g, l.g)
 	st := f.Status()
 	ts := l.eng.TailState()
 	if st.Generation != ts.Gen || st.AppliedBytes != ts.WALSize {
@@ -265,7 +276,7 @@ func TestFollowerRefusesForeignDir(t *testing.T) {
 	}
 
 	l := newTestLeader(t)
-	if _, err := Open(context.Background(), fastCfg(dir, NewLeader(l.eng))); err == nil {
+	if _, _, err := Open(context.Background(), fastCfg(dir, NewLeader(l.eng))); err == nil {
 		t.Fatal("follower bootstrapped into a foreign database directory")
 	}
 	// The database must be untouched and reopenable.
@@ -288,7 +299,7 @@ func TestFollowerLocalRestart(t *testing.T) {
 
 	dir := t.TempDir()
 	cfg := fastCfg(dir, NewLeader(l.eng))
-	f, err := Open(context.Background(), cfg)
+	f, _, err := Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +310,7 @@ func TestFollowerLocalRestart(t *testing.T) {
 
 	l.add(t, 8, 50) // written while the follower was down
 
-	f2, err := Open(context.Background(), cfg)
+	f2, g2, err := Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +323,11 @@ func TestFollowerLocalRestart(t *testing.T) {
 		t.Fatalf("local reopen at %d bytes, want the %d it had", st.AppliedBytes, waitLocal.AppliedBytes)
 	}
 
-	sink := &memSink{}
+	sink := &memSink{g: g2}
 	stop := startRun(f2, sink)
 	defer stop()
 	waitConverged(t, f2, l)
-	assertSameGraph(t, f2, l.g)
+	assertSameGraph(t, sink.graph(), l.g)
 	stop()
 	assertByteMirror(t, dir, l.dir)
 }
@@ -328,12 +339,12 @@ func TestFollowerGenerationSwitch(t *testing.T) {
 	l := newTestLeader(t)
 	l.add(t, 10, 0)
 
-	f, err := Open(context.Background(), fastCfg(t.TempDir(), NewLeader(l.eng)))
+	f, g, err := Open(context.Background(), fastCfg(t.TempDir(), NewLeader(l.eng)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	sink := &memSink{}
+	sink := &memSink{g: g}
 	stop := startRun(f, sink)
 	defer stop()
 	waitConverged(t, f, l)
@@ -343,7 +354,7 @@ func TestFollowerGenerationSwitch(t *testing.T) {
 	}
 	l.add(t, 5, 200)
 	waitConverged(t, f, l)
-	assertSameGraph(t, f, l.g)
+	assertSameGraph(t, sink.graph(), l.g)
 
 	st := f.Status()
 	if st.Bootstraps < 2 {
@@ -364,7 +375,7 @@ func TestFollowerStaleMetaRebootstraps(t *testing.T) {
 
 	dir := t.TempDir()
 	cfg := fastCfg(dir, NewLeader(l.eng))
-	f, err := Open(context.Background(), cfg)
+	f, _, err := Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,16 +389,16 @@ func TestFollowerStaleMetaRebootstraps(t *testing.T) {
 	}
 	l.add(t, 4, 100)
 
-	f2, err := Open(context.Background(), cfg)
+	f2, g2, err := Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f2.Close()
-	sink := &memSink{}
+	sink := &memSink{g: g2}
 	stop := startRun(f2, sink)
 	defer stop()
 	waitConverged(t, f2, l)
-	assertSameGraph(t, f2, l.g)
+	assertSameGraph(t, sink.graph(), l.g)
 	if f2.Status().Bootstraps == 0 {
 		t.Fatal("stale-generation mirror was never re-bootstrapped")
 	}
@@ -402,7 +413,7 @@ func TestFollowerProvisionalMetaRedone(t *testing.T) {
 
 	dir := t.TempDir()
 	cfg := fastCfg(dir, NewLeader(l.eng))
-	f, err := Open(context.Background(), cfg)
+	f, _, err := Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +429,7 @@ func TestFollowerProvisionalMetaRedone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f2, err := Open(context.Background(), cfg)
+	f2, g2, err := Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +437,7 @@ func TestFollowerProvisionalMetaRedone(t *testing.T) {
 	if f2.Status().Bootstraps != 1 {
 		t.Fatalf("Bootstraps = %d reopening a provisional mirror, want 1", f2.Status().Bootstraps)
 	}
-	assertSameGraph(t, f2, l.g)
+	assertSameGraph(t, g2, l.g)
 	assertByteMirror(t, dir, l.dir)
 }
 
@@ -444,12 +455,13 @@ func TestFollowerLargeRecord(t *testing.T) {
 	l.add(t, 1, 0)
 	dir := t.TempDir()
 	cfg := fastCfg(dir, NewLeader(l.eng))
-	f, err := Open(context.Background(), cfg)
+	f, g, err := Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	stop := startRun(f, &memSink{})
+	sink := &memSink{g: g}
+	stop := startRun(f, sink)
 	defer stop()
 
 	// Logged while the follower tails, so it arrives through tail
@@ -462,7 +474,7 @@ func TestFollowerLargeRecord(t *testing.T) {
 	}
 	waitConverged(t, f, l)
 	stop()
-	assertSameGraph(t, f, l.g)
+	assertSameGraph(t, sink.graph(), l.g)
 	assertByteMirror(t, dir, l.dir)
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -470,7 +482,7 @@ func TestFollowerLargeRecord(t *testing.T) {
 
 	// Restarted, the mirror recovers locally: WAL replay accepts the
 	// record the mirror's append accepted.
-	f2, err := Open(context.Background(), cfg)
+	f2, fg, err := Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,8 +490,7 @@ func TestFollowerLargeRecord(t *testing.T) {
 	if n := f2.Status().Bootstraps; n != 0 {
 		t.Fatalf("restart bootstrapped %d times, want a local recovery", n)
 	}
-	d, fg := f2.Current()
-	if id, ok := d.Lookup(big); !ok || !fg.HasID(dict.Triple3{enc[0], enc[1], id}) {
+	if id, ok := fg.Dict().Lookup(big); !ok || !fg.HasID(dict.Triple3{enc[0], enc[1], id}) {
 		t.Fatal("restarted follower lacks the 65 MiB literal")
 	}
 }

@@ -1,8 +1,9 @@
 // Package repl implements WAL-shipping replication: a leader serves
 // its durable log — the snapshot it rides beside plus a long-polled
 // tail of appended record frames — and a follower mirrors that log
-// byte for byte into its own database directory, applying records
-// through the same idempotent replay path crash recovery uses. This
+// byte for byte into its own database directory, decoding records
+// through the same idempotent replay path crash recovery uses and
+// handing each decoded batch to a Sink, which owns the graph. This
 // package owns the transport and the tail loop; every byte and file of
 // the mirror directory is internal/persist's (Engine.AppendFrames,
 // InstallMirror).

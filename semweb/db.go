@@ -96,14 +96,16 @@ type DB struct {
 	// and base ∪ pending == g; pending is non-empty only when
 	// cl == nf != nil, and holds triples absent from base in commit
 	// order, pairwise distinct, all ground, encoded against dict.
-	cl, nf  *preparedState // guarded by mu (a state's maintainer by prepMu)
+	cl, nf  *preparedState // guarded by mu (a state's maintainer by prepSlot)
 	pending []dict.Triple3 // guarded by mu
 
-	// prepMu serializes matching-universe computation — full prepares
-	// and delta maintenance alike — so concurrent first queries wait
-	// for one result instead of racing duplicate saturations. Lock
-	// order: prepMu strictly before mu.
-	prepMu sync.Mutex
+	// prepSlot is a one-slot semaphore serializing matching-universe
+	// computation — full prepares and delta maintenance alike — so
+	// concurrent first queries wait for one result instead of racing
+	// duplicate saturations. A channel rather than a mutex so that a
+	// waiter's context can end the wait. Lock order: prepSlot strictly
+	// before mu.
+	prepSlot chan struct{}
 
 	prepStats prepCounters
 
@@ -113,7 +115,7 @@ type DB struct {
 // preparedState is one cached matching universe of the snapshot base,
 // plus the (cheap, reusable) match index view over it and, once delta
 // maintenance has run, the closure maintainer that extends it. m is
-// lazily built and only touched under prepMu; readers use base, data
+// lazily built and only touched holding prepSlot; readers use base, data
 // and ix exclusively.
 type preparedState struct {
 	base *graph.Graph
@@ -204,7 +206,13 @@ func Open(opts ...Option) (*DB, error) {
 	if cfg.initial != nil {
 		g.AddAll(cfg.initial)
 	}
-	return &DB{dict: d, g: g, cfg: cfg}, nil
+	return newDB(d, g, nil, cfg), nil
+}
+
+// newDB returns a database serving g, encoded against d, logging to
+// eng when it is non-nil.
+func newDB(d *dict.Dict, g *graph.Graph, eng *persist.Engine, cfg config) *DB {
+	return &DB{dict: d, g: g, eng: eng, cfg: cfg, prepSlot: make(chan struct{}, 1)}
 }
 
 // OpenAt opens a durable database rooted at the directory dir,
@@ -241,7 +249,7 @@ func OpenAt(dir string, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{dict: d, g: g, eng: eng, cfg: cfg}
+	db := newDB(d, g, eng, cfg)
 	if cfg.initial != nil {
 		if err := db.AddGraph(cfg.initial); err != nil {
 			eng.Close()
@@ -268,23 +276,22 @@ func OpenAtReadOnly(dir string, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{dict: d, g: g, ro: &st, closed: true, cfg: cfg}, nil
+	db := newDB(d, g, nil, cfg)
+	db.ro, db.closed = &st, true
+	return db, nil
 }
 
-// addGraphs unions batches of new triples into one fresh snapshot: the
-// current snapshot is cloned once, every batch lands in the clone, and
-// the clone is published once — the bulk-load path that replaces a
-// re-union (O(|D|) copy) per call with one per batch. The whole
-// read-union-log-swap runs under the write lock so concurrent
-// mutations cannot lose each other's triples, and published snapshots
-// stay immutable. On a durable database the freshly added triples are
-// appended to the WAL (one fsync per call) before the new snapshot is
-// published; if logging fails, the database is unchanged.
+// addGraphs unions batches of new triples into the database as one
+// commit: every batch is validated and encoded into the shared
+// dictionary, and the encoded union takes one clone, one publish and
+// (when durable) one fsynced WAL append — not an O(|D|) copy per
+// batch. commitMu is held from encoding to publish, so a concurrent
+// Compact cannot swap the dictionary the batch was encoded against.
 func (db *DB) addGraphs(adds []*graph.Graph) error {
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
 	db.mu.RLock()
-	base, closed := db.g, db.closed
+	closed := db.closed
 	db.mu.RUnlock()
 	if closed {
 		return ErrClosed
@@ -292,8 +299,7 @@ func (db *DB) addGraphs(adds []*graph.Graph) error {
 	if db.replica != nil {
 		return ErrReplica
 	}
-	next := base.Clone()
-	var fresh []dict.Triple3
+	var batch []dict.Triple3
 	var illFormed *Triple
 	for _, add := range adds {
 		if add == nil {
@@ -311,9 +317,7 @@ func (db *DB) addGraphs(adds []*graph.Graph) error {
 					illFormed = &t
 					return false
 				}
-				if next.AddID(enc) {
-					fresh = append(fresh, enc)
-				}
+				batch = append(batch, enc)
 				return true
 			})
 		} else {
@@ -326,10 +330,7 @@ func (db *DB) addGraphs(adds []*graph.Graph) error {
 					illFormed = &bad
 					return false
 				}
-				enc := next.InternTriple(t)
-				if next.AddID(enc) {
-					fresh = append(fresh, enc)
-				}
+				batch = append(batch, dict.Triple3{db.dict.Intern(t.S), db.dict.Intern(t.P), db.dict.Intern(t.O)})
 				return true
 			})
 		}
@@ -337,11 +338,30 @@ func (db *DB) addGraphs(adds []*graph.Graph) error {
 			return fmt.Errorf("%w: %s", ErrIllFormedTriple, *illFormed)
 		}
 	}
+	return db.commit(batch)
+}
+
+// commit is the one way a batch becomes the current snapshot, on a
+// leader and a replica alike (caller holds commitMu, so the snapshot
+// cloned is still current at publish). The batch, encoded against
+// db.dict, is added to a clone of the snapshot and filtered in place
+// down to the triples that were new; a batch that adds nothing
+// publishes nothing. A durable leader then logs the fresh triples —
+// outside mu, so the fsync stalls no reader; a replica's batch is in
+// its mirror already — and only then is the clone published and the
+// fresh triples noted against the prepared cache. If logging fails,
+// the database is unchanged.
+func (db *DB) commit(batch []dict.Triple3) error {
+	next := db.snapshot().Clone()
+	fresh := batch[:0]
+	for _, t := range batch {
+		if next.AddID(t) {
+			fresh = append(fresh, t)
+		}
+	}
 	if len(fresh) == 0 {
 		return nil
 	}
-	// Log first — outside mu, so the fsync stalls no reader — then
-	// publish. commitMu guarantees base is still the current snapshot.
 	if db.eng != nil {
 		if err := db.eng.Append(db.dict, fresh); err != nil {
 			return fmt.Errorf("semweb: logging mutation: %w", err)
@@ -412,12 +432,13 @@ func groundBatch(d *dict.Dict, ts []dict.Triple3) bool {
 // a second, evaluation-owned overlay layered on this one (see
 // query.EvaluatePreparedIndexCtx and query.StreamPreparedIndexCtx).
 //
-// Resolution order: a cache hit is lock-cheap; otherwise, under
-// prepMu, the pending insert queue is folded into the ground state by
-// delta saturation, or the current snapshot is prepared from scratch.
-// prepMu serializes all of this, so concurrent first reads after a
-// mutation wait for one maintenance pass instead of racing duplicate
-// saturations.
+// Resolution order: a cache hit is lock-cheap; otherwise, holding
+// prepSlot, the pending insert queue is folded into the ground state
+// by delta saturation, or the current snapshot is prepared from
+// scratch. prepSlot serializes all of this, so concurrent first reads
+// after a mutation wait for one maintenance pass instead of racing
+// duplicate saturations; a reader whose ctx ends while it waits gives
+// up with ErrCancelled.
 //
 // The returned histogram is the semweb_query_seconds child labelled
 // with the branch that resolved the request.
@@ -428,10 +449,14 @@ func (db *DB) universe(ctx context.Context, nf bool) (*preparedState, *obs.Histo
 	if st := db.cached(nf); st != nil {
 		return st, querySecondsCached, nil
 	}
-	db.prepMu.Lock()
-	defer db.prepMu.Unlock()
+	select {
+	case db.prepSlot <- struct{}{}:
+	case <-ctx.Done():
+		return nil, nil, wrapEngineError(ctx.Err())
+	}
+	defer func() { <-db.prepSlot }()
 	if st := db.cached(nf); st != nil {
-		return st, querySecondsCached, nil // filled while waiting for prepMu
+		return st, querySecondsCached, nil // filled while waiting for prepSlot
 	}
 	st, err := db.deltaPrepare(ctx)
 	if st != nil || err != nil {
@@ -460,7 +485,7 @@ func (db *DB) cached(nf bool) *preparedState {
 // semi-naive delta saturation and publishes the extension, which then
 // covers the snapshot current when the queue was read. It returns
 // (nil, nil) when no ground state with pending inserts is cached; the
-// caller then prepares from scratch. Caller holds prepMu.
+// caller then prepares from scratch. Caller holds prepSlot.
 func (db *DB) deltaPrepare(ctx context.Context) (*preparedState, error) {
 	db.mu.RLock()
 	st, g := db.cl, db.g
@@ -545,7 +570,7 @@ func extendPrepared(ctx context.Context, st *preparedState, g *graph.Graph, from
 // from scratch — cl(D) on a ground snapshot, where it is nf(D) too —
 // and caches it. A commit that overtakes the preparation while it runs
 // leaves the result serving its caller uncached, counted as a stale
-// fallback. Caller holds prepMu.
+// fallback. Caller holds prepSlot.
 func (db *DB) fullPrepare(ctx context.Context, nf bool) (*preparedState, error) {
 	g := db.snapshot()
 	ground := g.IsGround() // O(n) scan, outside the write lock
@@ -824,9 +849,10 @@ func (db *DB) Close() error {
 		return nil
 	}
 	// On a replica the tail loop may be blocked on commitMu inside a
-	// publish, so stopping it (which waits for the loop to exit) must
-	// happen after commitMu is released; closed is already set, so no
-	// new mutation can slip in between.
+	// commit, so stopping it (which waits for the loop to exit) must
+	// happen after commitMu is released; closed is already set, so only
+	// a replicated chunk, never a caller's mutation, can slip in
+	// between.
 	if db.replica != nil {
 		return db.replica.stop()
 	}

@@ -1,8 +1,14 @@
 // White-box tests for internals that public API alone cannot pin down:
-// the compile-time pattern snapshot.
+// the compile-time pattern snapshot, the prepare wait and the commit
+// order.
 package semweb
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"testing"
+	"time"
+)
 
 // TestCompileSnapshotsBuilderSlices is the regression test for the
 // builder slice-aliasing bug: Head/Body grow slices with append, so two
@@ -72,5 +78,68 @@ func TestHeadSnapshotToo(t *testing.T) {
 	a.Head(T(X, IRI("urn:hA"), o))
 	if iq.Head[3] != before {
 		t.Fatalf("compiled head[3] changed from %v to %v", before, iq.Head[3])
+	}
+}
+
+// TestPrepareWaitHonoursDeadline: a reader waiting for another reader's
+// prepare gives up when its own context ends, not when the prepare
+// does.
+func TestPrepareWaitHonoursDeadline(t *testing.T) {
+	db, err := Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Add(T(IRI("urn:s"), IRI("urn:p"), IRI("urn:o"))); err != nil {
+		t.Fatal(err)
+	}
+	db.prepSlot <- struct{}{} // another reader's prepare, in progress
+	defer func() { <-db.prepSlot }()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	q := NewQuery().Head(T(Var("X"), IRI("urn:q"), IRI("urn:o"))).Body(T(Var("X"), IRI("urn:p"), IRI("urn:o")))
+	done := make(chan error, 1)
+	go func() {
+		_, err := db.Eval(ctx, q)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrCancelled) {
+			t.Fatalf("Eval = %v, want an error wrapping ErrCancelled", err)
+		}
+	case <-time.After(500 * time.Millisecond):
+		t.Fatal("Eval ignored its 50 ms deadline while waiting for the prepare")
+	}
+}
+
+// TestCommitLogsBeforePublishing: a batch whose log step fails is not
+// published — the database reads exactly as before the Add.
+func TestCommitLogsBeforePublishing(t *testing.T) {
+	db, err := OpenAt(t.TempDir(), WithoutFsync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Add(T(IRI("urn:s"), IRI("urn:p"), IRI("urn:o"))); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	fp, err := db.Fingerprint(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = db.Add(T(IRI("urn:s"), IRI("urn:p"), IRI("urn:o2")))
+	if err == nil || errors.Is(err, ErrClosed) || errors.Unwrap(err) == nil {
+		t.Fatalf("Add with a closed log = %v, want the wrapped logging error", err)
+	}
+	if n := db.Len(); n != 1 {
+		t.Fatalf("failed Add published: Len = %d, want 1", n)
+	}
+	if got, err := db.Fingerprint(ctx); err != nil || got != fp {
+		t.Fatalf("failed Add changed the Fingerprint: %s (%v), want %s", got, err, fp)
 	}
 }

@@ -17,8 +17,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -510,5 +512,182 @@ func TestReplMetricsAgreeWithStats(t *testing.T) {
 	}
 	if got := applied.Value(); got != st.ReplAppliedBytes {
 		t.Fatalf("semwebd_repl_applied_bytes = %d, Stats.ReplAppliedBytes = %d", got, st.ReplAppliedBytes)
+	}
+}
+
+// gatedSource serves the leader's log one complete record frame per
+// tail chunk, and only below an offset the test releases: a tail
+// request at or past it is answered with a heartbeat after the poll
+// window. heldAt is the offset of the last held request — the
+// follower's whole applied state, chunk committed included.
+type gatedSource struct {
+	dbSource
+	mu     sync.Mutex
+	limit  int64
+	heldAt int64
+}
+
+func (s *gatedSource) release(limit int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.limit = limit
+}
+
+func (s *gatedSource) held() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.heldAt
+}
+
+func (s *gatedSource) Tail(ctx context.Context, gen uint64, from int64, max int, wait time.Duration) (repl.Chunk, error) {
+	s.mu.Lock()
+	held := from >= s.limit
+	if held {
+		s.heldAt = from
+	}
+	s.mu.Unlock()
+	if held {
+		select {
+		case <-ctx.Done():
+			return repl.Chunk{}, ctx.Err()
+		case <-time.After(wait):
+		}
+		return repl.Chunk{Generation: gen, From: from, WALSize: from}, nil
+	}
+	c, err := s.dbSource.Tail(ctx, gen, from, max, wait)
+	if err != nil || len(c.Data) < 8 {
+		return c, err
+	}
+	if n := 8 + int(binary.LittleEndian.Uint32(c.Data[:4])); n < len(c.Data) {
+		c.Data = c.Data[:n]
+	}
+	return c, nil
+}
+
+// TestReplDefineOnlyChunkKeepsPrepared: a tail chunk that carries only
+// the define record of a leader write adds no triple, so the replica
+// must not publish a new snapshot — one would no longer match the
+// prepared universe, and the next read would re-prepare cl(D) from
+// scratch. The leader does one full prepare for the same write; so
+// must the replica.
+func TestReplDefineOnlyChunkKeepsPrepared(t *testing.T) {
+	leaderDir, replicaDir := t.TempDir(), t.TempDir()
+	leader, err := OpenAt(leaderDir, WithoutFsync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	loadBatch(t, leader, 20, 0)
+
+	src := &gatedSource{dbSource: dbSource{leader}, limit: math.MaxInt64}
+	replica, err := followSource(replicaDir, "default", src, fastTune, WithoutFsync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	waitReplica(t, replica, leader)
+
+	ctx := context.Background()
+	q := mustParseQuery(t, "HEAD:\n?X <urn:q> ?Y .\nBODY:\n?X <urn:p> ?Y .\n")
+	read := func(want int) {
+		t.Helper()
+		ans, err := replica.Eval(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(ans.Singles()); got != want {
+			t.Fatalf("replica answered %d rows, want %d", got, want)
+		}
+	}
+	read(20)
+
+	before, err := leader.ReplState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.release(before.WALSize)
+	// One new term: the write logs one define record, then the triple.
+	if err := leader.Add(T(IRI("urn:s:0"), IRI("urn:p"), IRI("urn:fresh"))); err != nil {
+		t.Fatal(err)
+	}
+	var defineEnd int64
+	for _, end := range recordEnds(t, filepath.Join(leaderDir, persist.WALFile)) {
+		if end > before.WALSize {
+			defineEnd = end
+			break
+		}
+	}
+	src.release(defineEnd)
+	deadline := time.Now().Add(15 * time.Second)
+	for src.held() != defineEnd {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica never reached the define record's end %d", defineEnd)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	read(20)
+	if st := replica.Stats(); st.PreparedFull != 1 {
+		t.Fatalf("define-only chunk: replica PreparedFull = %d, want 1: %+v", st.PreparedFull, st)
+	}
+
+	src.release(math.MaxInt64)
+	waitReplica(t, replica, leader)
+	read(21)
+	if st := replica.Stats(); st.PreparedFull != 1 || st.PreparedDelta == 0 {
+		t.Fatalf("replicated write: PreparedFull = %d, PreparedDelta = %d, want 1 and > 0", st.PreparedFull, st.PreparedDelta)
+	}
+	assertConverged(t, replica, leader, replicaDir, leaderDir)
+}
+
+// TestReplCountersMatchLeaderUnderBlankNodes: leader and replica commit
+// every batch through the same path, so the prepared cache must take
+// the same route on both sides — the delta path for ground batches, a
+// drop for a batch with a blank node and for any batch over the
+// non-ground base it leaves, nothing at all for a batch that adds
+// nothing — while both serve the same nf(D) after every step.
+func TestReplCountersMatchLeaderUnderBlankNodes(t *testing.T) {
+	leaderDir, replicaDir := t.TempDir(), t.TempDir()
+	leader, err := OpenAt(leaderDir, WithoutFsync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	loadBatch(t, leader, 10, 0)
+	replica := follow(t, replicaDir, leader)
+	defer replica.Close()
+
+	steps := []struct {
+		name  string
+		write func() error
+	}{
+		{"warm", func() error { return nil }},
+		{"ground batch", func() error { loadBatch(t, leader, 5, 100); return nil }},
+		{"duplicate-only add", func() error {
+			return leader.Add(T(IRI("urn:s:0"), IRI("urn:p"), Literal("v0")))
+		}},
+		{"blank-node batch", func() error {
+			return leader.Add(T(Blank("b"), IRI("urn:p"), Literal("anon")), T(IRI("urn:s:200"), IRI("urn:p"), Blank("b")))
+		}},
+		{"ground batch over a non-ground base", func() error { loadBatch(t, leader, 5, 300); return nil }},
+	}
+	for _, step := range steps {
+		if err := step.write(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		waitReplica(t, replica, leader)
+		assertConverged(t, replica, leader, replicaDir, leaderDir)
+		ls, rs := leader.Stats(), replica.Stats()
+		if ls.PreparedFull != rs.PreparedFull || ls.PreparedDelta != rs.PreparedDelta ||
+			ls.PreparedFallbackNonGroundBatch != rs.PreparedFallbackNonGroundBatch ||
+			ls.PreparedFallbackNonGroundBase != rs.PreparedFallbackNonGroundBase {
+			t.Fatalf("after %s the prepared cache took different routes:\n  leader  full %d delta %d non-ground batch %d base %d\n  replica full %d delta %d non-ground batch %d base %d",
+				step.name,
+				ls.PreparedFull, ls.PreparedDelta, ls.PreparedFallbackNonGroundBatch, ls.PreparedFallbackNonGroundBase,
+				rs.PreparedFull, rs.PreparedDelta, rs.PreparedFallbackNonGroundBatch, rs.PreparedFallbackNonGroundBase)
+		}
+	}
+	st := replica.Stats()
+	if st.PreparedDelta != 1 || st.PreparedFallbackNonGroundBatch != 1 || st.PreparedFallbackNonGroundBase != 1 {
+		t.Fatalf("replica counters %+v, want one delta pass and one fallback of each non-ground kind", st)
 	}
 }

@@ -52,13 +52,12 @@ func followSource(dir, name string, src repl.Source, tune func(*repl.Config), op
 		tune(&rcfg)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	f, err := repl.Open(ctx, rcfg)
+	f, g, err := repl.Open(ctx, rcfg)
 	if err != nil {
 		cancel()
 		return nil, fmt.Errorf("semweb: opening replica: %w", err)
 	}
-	d, g := f.Current()
-	db := &DB{dict: d, g: g, cfg: cfg}
+	db := newDB(g.Dict(), g, nil, cfg)
 	r := &replica{db: db, f: f, cancel: cancel, done: make(chan struct{})}
 	db.replica = r
 	go func() {
@@ -69,11 +68,11 @@ func followSource(dir, name string, src repl.Source, tune func(*repl.Config), op
 }
 
 // replica is the follower machinery behind a read-replica DB. It is
-// the follower's Sink: Publish lands each applied batch exactly where
-// a leader's own addGraphs lands a write — snapshot publish under mu
-// plus noteInsertLocked, so the PR 7 delta-maintenance path keeps the
-// prepared cache warm under replicated writes — and Reset swaps in the
-// post-bootstrap world where dictionary and IDs start over.
+// the follower's Sink: Commit lands each mirrored batch through the
+// same commit a leader's own write takes — clone, add, publish and
+// noteInsertLocked, so delta maintenance keeps the prepared cache warm
+// under replicated writes — and Reset swaps in the post-bootstrap
+// world where dictionary and IDs start over.
 type replica struct {
 	db     *DB
 	f      *repl.Follower
@@ -89,20 +88,20 @@ func (r *replica) Reset(d *dict.Dict, g *graph.Graph) {
 	db.resetLocked(d, g)
 }
 
-// Publish implements repl.Sink.
-func (r *replica) Publish(g *graph.Graph, fresh []dict.Triple3) {
+// Commit implements repl.Sink. The batch is durable in the mirror
+// already and a replica has no log of its own, so the commit cannot
+// fail. A chunk committed while Close stops the tail loop is still
+// published, as reads after Close see the last published snapshot.
+func (r *replica) Commit(batch []dict.Triple3) {
 	db := r.db
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
-	db.mu.Lock()
-	db.g = g
-	db.noteInsertLocked(fresh)
-	db.mu.Unlock()
+	_ = db.commit(batch)
 }
 
 // stop tears the replica down: stop the tail loop, wait it out, close
 // the mirror. Called by DB.Close outside commitMu — the tail loop may
-// be blocked on commitMu inside Publish, so waiting for it under the
+// be blocked on commitMu inside Commit, so waiting for it under the
 // lock would deadlock.
 func (r *replica) stop() error {
 	r.cancel()
