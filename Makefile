@@ -9,7 +9,7 @@ BENCH_JSON ?= BENCH_pr10.json
 # The newest committed per-PR snapshot is the regression baseline.
 BENCH_BASELINE ?= $(shell ls BENCH_pr*.json 2>/dev/null | sort -V | tail -1)
 
-.PHONY: verify check fmt vet lint test test-race test-stress bench-e2e-test serve-smoke metrics-smoke repl-smoke bench bench-json bench-gate fuzz build examples
+.PHONY: verify check fmt vet lint test test-race test-stress bench-e2e-test serve-smoke metrics-smoke repl-smoke bench bench-json bench-gate fuzz fuzz-smoke build examples
 
 # Tier-1: must stay green (ROADMAP.md).
 verify: build test
@@ -120,6 +120,14 @@ fuzz:
 	$(GO) test -fuzz FuzzReplStream -fuzztime 30s ./internal/repl/
 	$(GO) test -fuzz FuzzDeltaClosure -fuzztime 30s ./internal/closure/
 	$(GO) test -fuzz FuzzEntailmentAgrees -fuzztime 30s ./semweb/
+
+# Short fuzz pass over the two differential targets the maintained
+# closure rests on: delta folds (blank nodes in base and batch) against
+# from-scratch closure, and DB.Entails over a delta-folded cl(D)
+# against the canonical model. CI runs this after test-stress.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzDeltaClosure -fuzztime 15s ./internal/closure/
+	$(GO) test -run '^$$' -fuzz FuzzEntailmentAgrees -fuzztime 15s ./semweb/
 
 # Run every example program (living API documentation).
 examples:

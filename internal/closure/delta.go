@@ -16,9 +16,9 @@
 // base already, so they need no re-bootstrapping.
 //
 // RDFS-cl is cl (Definition 3.5, Lemma 3.4), so maintaining one
-// maintains the other. Callers serving nf(D) = core(cl(D)) fold deltas
-// only into ground states, where nf(D) = cl(D); with blank nodes in
-// play the core must be recomputed, and they re-saturate instead.
+// maintains the other, with or without blank nodes: the rules treat
+// them as constants. Callers serving nf(D) = core(cl(D)) take the core
+// of the maintained closure; only on a ground one is it the identity.
 
 package closure
 

@@ -262,6 +262,23 @@ func TestFindBudget(t *testing.T) {
 	}
 }
 
+// TestFindBudgetSkipsGroundPatterns: ground triples of the source are
+// membership checks, not search steps, so a graph of ~1 000 ground
+// triples and one blank triple maps into itself within a budget of 100.
+func TestFindBudgetSkipsGroundPatterns(t *testing.T) {
+	g := graph.New(graph.T(blk("x"), iri("p"), iri("o0")))
+	for i := 0; i < 1000; i++ {
+		g.Add(graph.T(iri(fmt.Sprintf("s%d", i)), iri("p"), iri(fmt.Sprintf("o%d", i))))
+	}
+	m, found, complete := NewFinder(match.NewIndex(g)).FindBudget(g, 100)
+	if !found || !complete {
+		t.Fatalf("ground-heavy self map: found=%v complete=%v, want both", found, complete)
+	}
+	if !m.Apply(g).SubgraphOf(g) {
+		t.Fatal("the map found does not send g into itself")
+	}
+}
+
 func TestEnumerateEarlyStop(t *testing.T) {
 	dst := encClique(3)
 	src := graph.New(graph.T(blk("X"), iri("e"), blk("Y")))

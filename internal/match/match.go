@@ -76,7 +76,8 @@ type Options struct {
 
 	// MaxSteps bounds the number of search steps (candidate extensions
 	// attempted). Zero means unlimited. When the budget is exhausted,
-	// Solve returns complete = false.
+	// Solve returns complete = false. Patterns without an unknown take
+	// no step: each is one membership check, made before the search.
 	MaxSteps int
 
 	// Ctx, when non-nil, is polled periodically inside the search loop.
@@ -292,10 +293,28 @@ func (s *Solver) resolveKey(p dict.Triple3, b Binding) dict.Triple3 {
 func (s *Solver) Solve(patterns []graph.Triple, yield func(Binding) bool) (complete bool) {
 	s.steps = 0
 	s.err = nil
-	encoded := s.encode(patterns)
+	// A pattern without an unknown binds nothing: check it once by
+	// membership, and search only the rest. Left in the search, every
+	// level would recount it, which is quadratic when most of the
+	// patterns are ground (a graph mapped into itself minus one triple).
+	open := s.encode(patterns)
+	n := 0
+	for _, p := range open {
+		if s.unknown[p[0]] || s.unknown[p[1]] || s.unknown[p[2]] {
+			open[n] = p
+			n++
+			continue
+		}
+		if s.interrupted() {
+			return false
+		}
+		if !s.ix.g.HasID(p) {
+			return true
+		}
+	}
 	b := make(Binding)
 	stopped := false
-	ok := s.solve(encoded, b, func(bind Binding) bool {
+	ok := s.solve(open[:n], b, func(bind Binding) bool {
 		if !yield(bind) {
 			stopped = true
 			return false

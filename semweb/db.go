@@ -10,6 +10,7 @@ import (
 
 	"semwebdb/internal/canon"
 	"semwebdb/internal/closure"
+	"semwebdb/internal/core"
 	"semwebdb/internal/dict"
 	"semwebdb/internal/graph"
 	"semwebdb/internal/hom"
@@ -34,9 +35,9 @@ import (
 // Stats' DictTerms is unchanged by any amount of query traffic.
 //
 // Eval, Stream and the paper operations (Entails, Equivalent, Infers,
-// Closure, NormalForm, Fingerprint) share one prepared universe per
-// database, cl(D) or nf(D) — one and the same on a ground D — kept
-// current by delta maintenance. A premise-free read answers over the
+// Closure, NormalForm, Fingerprint) share one prepared cl(D) per
+// database, kept current by delta maintenance, and its core nf(D) —
+// the same state on a ground D. A premise-free read answers over the
 // snapshot that is current when its universe resolves.
 //
 // The dictionary can still outgrow the live data: batches rejected
@@ -80,27 +81,25 @@ type DB struct {
 	// reads neither redo the closure saturation and the coNP-hard core
 	// retraction nor re-sort the scan indexes.
 	//
-	// A ground graph is its own core, so on a ground snapshot
-	// nf(D) = cl(D) and cl == nf: one saturation, one index, one
-	// maintainer. A mutation does not discard that state: a ground
-	// batch is queued in pending, and the next read folds it in by
-	// semi-naive delta saturation (closure.Maintainer), publishing a
-	// fresh extended graph/index pair — readers streaming from the old
-	// state are never disturbed. On a non-ground snapshot each state is
-	// filled on demand, and any mutation drops them. Blank nodes in the
-	// base or the batch, Compact's dictionary rebuild and a maintenance
-	// error all drop the cache and fall back to full re-preparation
-	// (counted per reason in Stats).
+	// cl(D) is saturated once. A mutation queues its batch in pending,
+	// and the next read folds it in by semi-naive delta saturation
+	// (closure.Maintainer) — blank nodes are constants to the rules
+	// (Lemma 3.4) — publishing a fresh extended graph/index pair;
+	// readers streaming from the old state are never disturbed. nf(D)
+	// is never saturated: a ground graph is its own core, so on a
+	// ground state nf == cl; otherwise nf is cl's core, computed on the
+	// first nf read and discarded when cl moves on. Compact and a
+	// maintenance error drop both (counted per reason in Stats).
 	//
-	// Invariants (under mu): every non-nil state has the same base,
-	// and base ∪ pending == g; pending is non-empty only when
-	// cl == nf != nil, and holds triples absent from base in commit
-	// order, pairwise distinct, all ground, encoded against dict.
+	// Invariants (under mu): cl.base ∪ pending == g; pending, empty
+	// while cl is nil, holds triples absent from cl.base in commit
+	// order, pairwise distinct, encoded against dict; nf is nil, cl, or
+	// the core of non-ground cl.
 	cl, nf  *preparedState // guarded by mu (a state's maintainer by prepSlot)
 	pending []dict.Triple3 // guarded by mu
 
 	// prepSlot is a one-slot semaphore serializing matching-universe
-	// computation — full prepares and delta maintenance alike — so
+	// computation — full prepares, delta maintenance and cores — so
 	// concurrent first queries wait for one result instead of racing
 	// duplicate saturations. A channel rather than a mutex so that a
 	// waiter's context can end the wait. Lock order: prepSlot strictly
@@ -116,12 +115,13 @@ type DB struct {
 // plus the (cheap, reusable) match index view over it and, once delta
 // maintenance has run, the closure maintainer that extends it. m is
 // lazily built and only touched holding prepSlot; readers use base, data
-// and ix exclusively.
+// and ix exclusively. ground: data has no blank node, so is its own core.
 type preparedState struct {
-	base *graph.Graph
-	data *graph.Graph
-	ix   *match.Index
-	m    *closure.Maintainer
+	base   *graph.Graph
+	data   *graph.Graph
+	ix     *match.Index
+	m      *closure.Maintainer
+	ground bool
 }
 
 // prepCounters are the monotonic prepared-cache maintenance counters
@@ -374,47 +374,32 @@ func (db *DB) commit(batch []dict.Triple3) error {
 	return nil
 }
 
-// noteInsertLocked records freshly inserted triples against the
-// prepared-universe cache (caller holds mu). When incremental
-// maintenance applies — a ground state cached, batch ground too — the
-// batch is queued for semi-naive delta application on the next read.
-// Otherwise the cache is dropped and the matching fallback counter
-// bumped: blank nodes make the lean-core step non-incremental (an
-// inserted triple can make previously-core blanks mappable, retracting
-// triples from nf(D)), so only the ground path, where nf(D) = cl(D), is
-// maintained in place.
+// noteInsertLocked queues freshly inserted triples for semi-naive
+// delta application on the next read while cl(D) is cached (caller
+// holds mu).
 func (db *DB) noteInsertLocked(fresh []dict.Triple3) {
-	switch {
-	case db.cl == nil && db.nf == nil:
-		return
-	case db.cl != db.nf:
-		db.prepStats.fbNonGroundBase.Add(1)
-	case !groundBatch(db.dict, fresh):
-		db.prepStats.fbNonGroundBatch.Add(1)
-	default:
+	if db.cl != nil {
 		db.pending = append(db.pending, fresh...)
-		return
 	}
-	db.dropPreparedLocked()
 }
 
-// dropPreparedLocked discards the prepared-universe cache and its
-// pending delta queue (caller holds mu).
-func (db *DB) dropPreparedLocked() {
-	db.cl, db.nf, db.pending = nil, nil, nil
-}
-
-// groundBatch reports whether no triple of the batch mentions a blank
-// node, resolving kinds through the dictionary the IDs were encoded by.
-func groundBatch(d *dict.Dict, ts []dict.Triple3) bool {
-	for _, t := range ts {
-		if d.KindOf(t[0]) == term.KindBlank ||
-			d.KindOf(t[1]) == term.KindBlank ||
-			d.KindOf(t[2]) == term.KindBlank {
-			return false
-		}
+// publishLocked caches st as cl(D) — and as nf(D) when st is ground —
+// of the current snapshot (caller holds mu). The core step is not
+// incremental (an inserted triple can make previously-core blanks
+// mappable), so a cached nf(D) that st does not replace is discarded,
+// and the matching fallback counter bumped.
+func (db *DB) publishLocked(st *preparedState) {
+	switch {
+	case db.nf == nil:
+	case db.nf != db.cl:
+		db.prepStats.fbNonGroundBase.Add(1)
+	case !st.ground:
+		db.prepStats.fbNonGroundBatch.Add(1)
 	}
-	return true
+	db.cl, db.nf = st, nil
+	if st.ground {
+		db.nf = st
+	}
 }
 
 // universe returns the prepared state whose triple set is nf(D) (nf
@@ -433,15 +418,15 @@ func groundBatch(d *dict.Dict, ts []dict.Triple3) bool {
 // query.EvaluatePreparedIndexCtx and query.StreamPreparedIndexCtx).
 //
 // Resolution order: a cache hit is lock-cheap; otherwise, holding
-// prepSlot, the pending insert queue is folded into the ground state
-// by delta saturation, or the current snapshot is prepared from
-// scratch. prepSlot serializes all of this, so concurrent first reads
-// after a mutation wait for one maintenance pass instead of racing
-// duplicate saturations; a reader whose ctx ends while it waits gives
-// up with ErrCancelled.
+// prepSlot, the pending insert queue is folded into cl(D) by delta
+// saturation, or the current snapshot is saturated from scratch; an nf
+// read of a non-ground cl(D) then takes its core. prepSlot serializes
+// all of this, so concurrent first reads after a mutation wait for one
+// maintenance pass instead of racing duplicate saturations; a reader
+// whose ctx ends while it waits gives up with ErrCancelled.
 //
 // The returned histogram is the semweb_query_seconds child labelled
-// with the branch that resolved the request.
+// with the branch that resolved the request: a core counts as full.
 func (db *DB) universe(ctx context.Context, nf bool) (*preparedState, *obs.Histogram, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, wrapEngineError(err)
@@ -459,11 +444,16 @@ func (db *DB) universe(ctx context.Context, nf bool) (*preparedState, *obs.Histo
 		return st, querySecondsCached, nil // filled while waiting for prepSlot
 	}
 	st, err := db.deltaPrepare(ctx)
-	if st != nil || err != nil {
-		return st, querySecondsDelta, wrapEngineError(err)
+	seconds := querySecondsDelta
+	if st == nil && err == nil {
+		seconds = querySecondsFull
+		st, err = db.fullPrepare(ctx)
 	}
-	st, err = db.fullPrepare(ctx, nf)
-	return st, querySecondsFull, wrapEngineError(err)
+	if err == nil && nf && !st.ground {
+		seconds = querySecondsFull
+		st, err = db.normalize(ctx, st)
+	}
+	return st, seconds, wrapEngineError(err)
 }
 
 // cached returns the cached nf (or cl) state when it covers the
@@ -481,28 +471,27 @@ func (db *DB) cached(nf bool) *preparedState {
 	return st
 }
 
-// deltaPrepare folds the pending insert queue into the ground state by
-// semi-naive delta saturation and publishes the extension, which then
-// covers the snapshot current when the queue was read. It returns
-// (nil, nil) when no ground state with pending inserts is cached; the
-// caller then prepares from scratch. Caller holds prepSlot.
+// deltaPrepare folds the pending insert queue into cl(D) by semi-naive
+// delta saturation and publishes the extension, which then covers the
+// snapshot current when the queue was read. With nothing pending it
+// returns the cached cl(D) as is, and (nil, nil) when none is cached;
+// the caller then prepares from scratch. Caller holds prepSlot.
 func (db *DB) deltaPrepare(ctx context.Context) (*preparedState, error) {
 	db.mu.RLock()
 	st, g := db.cl, db.g
-	eligible := st != nil && st == db.nf && len(db.pending) > 0
 	// Snapshot the queue and the dictionary it was encoded against
 	// together: a Compact would replace both, and it also drops the
 	// cache, which the publish step below re-checks.
 	batch, from := append([]dict.Triple3(nil), db.pending...), db.dict
 	db.mu.RUnlock()
-	if !eligible {
-		return nil, nil
+	if st == nil || len(batch) == 0 {
+		return st, nil
 	}
 	nst, err := extendPrepared(ctx, st, g, from, batch)
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// A concurrent non-ground insert or Compact may have dropped the
-	// cache meanwhile; the extension then serves this caller only.
+	// A concurrent Compact may have dropped the cache meanwhile; the
+	// extension then serves this caller only.
 	// Mutations that merely appended more pending triples do not
 	// invalidate it: it covers base ∪ batch = g exactly, and the queue
 	// keeps the later entries.
@@ -514,11 +503,11 @@ func (db *DB) deltaPrepare(ctx context.Context) (*preparedState, error) {
 		// re-prepares from scratch, and report the error.
 		db.prepStats.fbError.Add(1)
 		if current {
-			db.dropPreparedLocked()
+			db.cl, db.nf, db.pending = nil, nil, nil
 		}
 		return nil, err
 	case current:
-		db.cl, db.nf = nst, nst
+		db.publishLocked(nst)
 		db.pending = db.pending[len(batch):]
 		if len(db.pending) == 0 {
 			db.pending = nil
@@ -530,8 +519,8 @@ func (db *DB) deltaPrepare(ctx context.Context) (*preparedState, error) {
 }
 
 // extendPrepared folds one pending batch (encoded against the shared
-// base dictionary from) into the ground state and returns the extended
-// state, which covers the snapshot g. The prepared graph lives on a
+// base dictionary from) into cl(D) and returns the extended state,
+// which covers the snapshot g. The prepared graph lives on a
 // scratch overlay created at prepare time, and base-dictionary IDs
 // interned after that point collide with the overlay's private range —
 // so the batch cannot be replayed by ID: each triple is decoded
@@ -544,18 +533,17 @@ func (db *DB) deltaPrepare(ctx context.Context) (*preparedState, error) {
 func extendPrepared(ctx context.Context, st *preparedState, g *graph.Graph, from *dict.Dict, batch []dict.Triple3) (*preparedState, error) {
 	if st.m == nil {
 		// First maintenance over this state: seed the maintainer from
-		// the prepared universe (ground, hence RDFS-closed). It rides
-		// along in every extended state, so later batches skip this
-		// O(|cl|) pass.
+		// the prepared cl(D), which is RDFS-closed. It rides along in
+		// every extended state, so later batches skip this O(|cl|)
+		// pass.
 		st.m = closure.NewMaintainer(st.data)
 	}
-	to := st.data.Dict()
+	to, ground := st.data.Dict(), st.ground
 	ids := make([]dict.Triple3, len(batch))
 	for i, t := range batch {
-		ids[i] = dict.Triple3{
-			to.Intern(from.TermOf(t[0])),
-			to.Intern(from.TermOf(t[1])),
-			to.Intern(from.TermOf(t[2])),
+		for j, id := range t {
+			ids[i][j] = to.Intern(from.TermOf(id))
+			ground = ground && from.KindOf(id) != term.KindBlank
 		}
 	}
 	added, err := st.m.Apply(ctx, ids)
@@ -563,36 +551,47 @@ func extendPrepared(ctx context.Context, st *preparedState, g *graph.Graph, from
 		return nil, err
 	}
 	nix := st.ix.ExtendedByIDs(added)
-	return &preparedState{base: g, data: nix.Graph(), ix: nix, m: st.m}, nil
+	return &preparedState{base: g, data: nix.Graph(), ix: nix, m: st.m, ground: ground}, nil
 }
 
-// fullPrepare computes the matching universe of the current snapshot
-// from scratch — cl(D) on a ground snapshot, where it is nf(D) too —
-// and caches it. A commit that overtakes the preparation while it runs
+// fullPrepare saturates the current snapshot from scratch into cl(D)
+// and caches it. A commit that overtakes the saturation while it runs
 // leaves the result serving its caller uncached, counted as a stale
 // fallback. Caller holds prepSlot.
-func (db *DB) fullPrepare(ctx context.Context, nf bool) (*preparedState, error) {
+func (db *DB) fullPrepare(ctx context.Context) (*preparedState, error) {
 	g := db.snapshot()
 	ground := g.IsGround() // O(n) scan, outside the write lock
-	data, err := query.Prepare(ctx, scratchView(g), ground || !nf)
+	data, err := closure.RDFSClCtx(ctx, scratchView(g))
 	if err != nil {
 		return nil, err
 	}
-	st := &preparedState{base: g, data: data, ix: match.NewIndex(data)}
+	st := &preparedState{base: g, data: data, ix: match.NewIndex(data), ground: ground}
 	db.prepStats.full.Add(1)
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	switch {
-	case db.g != g:
+	if db.g != g {
 		db.prepStats.fbStale.Add(1)
-	case ground:
-		db.cl, db.nf = st, st
-	case nf:
-		db.nf = st
-	default:
-		db.cl = st
+		return st, nil
 	}
+	db.publishLocked(st)
 	return st, nil
+}
+
+// normalize derives nf(D) = core(cl(D)) (Definition 3.18) from the
+// non-ground cl(D) st, cached beside st while st is cached. Caller
+// holds prepSlot.
+func (db *DB) normalize(ctx context.Context, st *preparedState) (*preparedState, error) {
+	data, _, err := core.CoreCtx(ctx, st.data)
+	if err != nil {
+		return nil, err
+	}
+	nst := &preparedState{base: st.base, data: data, ix: match.NewIndex(data)}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.cl == st {
+		db.nf = nst
+	}
+	return nst, nil
 }
 
 // scratchView returns the given graph behind a fresh scratch-overlay
@@ -828,10 +827,10 @@ func (db *DB) resetLocked(d *dict.Dict, g *graph.Graph) {
 	defer db.mu.Unlock()
 	db.dict = d
 	db.g = g
-	if db.cl != nil || db.nf != nil {
+	if db.cl != nil {
 		db.prepStats.fbCompact.Add(1)
 	}
-	db.dropPreparedLocked()
+	db.cl, db.nf, db.pending = nil, nil, nil
 }
 
 // Close flushes and closes the write-ahead log of a durable database
@@ -914,24 +913,23 @@ type Stats struct {
 	ReplLagBytes   int64 `json:"repl_lag_bytes"`
 	ReplLagRecords int   `json:"repl_lag_records"`
 
-	// PreparedFull counts matching-universe preparations computed from
-	// scratch (closure saturation plus, on a non-ground snapshot and
-	// unless skipped, the normal-form retraction) since the database
-	// was opened, whether a query or a paper operation (Entails,
-	// Infers, ...) asked first. A ground snapshot is prepared once for
-	// both universes: its nf(D) is cl(D).
+	// PreparedFull counts closure saturations from scratch since the
+	// database was opened, whether a query or a paper operation
+	// (Entails, Infers, ...) asked first. Both universes share the one
+	// cl(D): nf(D) is its core, not a second saturation.
 	PreparedFull uint64 `json:"prepared_full"`
 	// PreparedDelta counts incremental maintenance passes: pending
-	// insert batches folded into the cached prepared universe by
-	// semi-naive delta saturation instead of a full re-preparation.
+	// insert batches, blank nodes or not, folded into the cached cl(D)
+	// by semi-naive delta saturation instead of a full re-preparation.
 	PreparedDelta uint64 `json:"prepared_delta"`
 	// PreparedDeltaTriples is the total number of inserted triples
 	// those delta passes folded in.
 	PreparedDeltaTriples uint64 `json:"prepared_delta_triples"`
-	// The PreparedFallback* counters tally mutations that dropped the
-	// prepared cache instead of queueing a delta, by reason: the
-	// cached snapshot had blank nodes, the inserted batch had blank
-	// nodes (either makes the lean-core step non-incremental), a
+	// The PreparedFallbackNonGround* counters tally cached nf(D) states
+	// a delta fold discarded: a core of a non-ground cl(D) (Base), or a
+	// ground nf(D) = cl(D) that took blank nodes (Batch). cl(D) itself
+	// is kept. The next nf read re-cores the folded cl(D), which ticks
+	// no counter. The other two count drops of the whole cache: a
 	// Compact renumbered the dictionary, or a maintenance pass failed
 	// (e.g. cancelled mid-apply).
 	PreparedFallbackNonGroundBase  uint64 `json:"prepared_fallback_non_ground_base"`

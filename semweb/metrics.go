@@ -6,7 +6,8 @@ import "semwebdb/internal/obs"
 // semweb_query_seconds is labeled by how the matching universe was
 // resolved, which is the dominant cost split: a cached hit pays only
 // matching, delta pays incremental maintenance, full pays a from-scratch
-// saturation, and premise queries always build a per-query universe.
+// saturation or nf(D) core, and premise queries always build a
+// per-query universe.
 var (
 	querySecondsVec = obs.Default.HistogramVec("semweb_query_seconds",
 		"End-to-end Eval/Stream latency, by matching-universe path (cached = prepared-universe hit, delta = incremental maintenance, full = from-scratch prepare, premise = per-query universe). Stream observations include consumer pacing.",

@@ -182,9 +182,10 @@ func checkPaperOps(t *testing.T, db *DB, v deltaVocab, step string) {
 }
 
 // TestPaperOpsMatchFromScratch is the differential test: along a run of
-// ground batches (the delta path), a blank-node batch (the fallback
-// path), a ground batch on the now non-ground base and a Compact, every
-// paper operation agrees with the from-scratch functions, under both
+// ground batches, a blank-node batch and a ground batch on the now
+// non-ground base (each folded into cl(D) by delta, the last two
+// discarding nf(D)) and a Compact (which drops the cache), every paper
+// operation agrees with the from-scratch functions, under both
 // matching universes and on a simple database.
 func TestPaperOpsMatchFromScratch(t *testing.T) {
 	for _, tc := range []struct {
@@ -223,9 +224,12 @@ func TestPaperOpsMatchFromScratch(t *testing.T) {
 				step("compact", db.Compact)
 
 				st := db.Stats()
-				if st.PreparedDelta == 0 || st.PreparedFallbackNonGroundBatch == 0 ||
+				if st.PreparedDelta != 5 || st.PreparedFallbackNonGroundBatch == 0 ||
 					st.PreparedFallbackNonGroundBase == 0 || st.PreparedFallbackCompact == 0 {
 					t.Fatalf("seed %d: paths not all exercised: %+v", seed, st)
+				}
+				if st.PreparedFull != 2 {
+					t.Fatalf("seed %d: PreparedFull = %d, want 2 (one saturation before Compact, one after)", seed, st.PreparedFull)
 				}
 				db.Close()
 			}
@@ -298,12 +302,12 @@ func TestPaperOpsResultsAreIndependent(t *testing.T) {
 	}
 }
 
-// TestPaperOpsShareThePreparedUniverse pins the counters: a ground
-// database prepares one universe for both flags and every operation, a
-// non-ground one one per flag; once warm, paper operations on an
-// unchanged database prepare and saturate nothing and observe no query
-// latency, and after a one-triple ground write the next Infers folds it
-// in by one delta pass.
+// TestPaperOpsShareThePreparedUniverse pins the counters: a ground or
+// non-ground database saturates one cl(D) for both flags and every
+// operation (nf(D) is cl(D) or its core); once warm, paper operations
+// on an unchanged database prepare and saturate nothing and observe no
+// query latency, and after a one-triple ground write the next Infers
+// folds it in by one delta pass.
 func TestPaperOpsShareThePreparedUniverse(t *testing.T) {
 	ctx := context.Background()
 	const fullSaturations = `semweb_closure_saturations_total{mode="full"}`
@@ -347,6 +351,7 @@ func TestPaperOpsShareThePreparedUniverse(t *testing.T) {
 			}
 			// cl-only operations never pay for a core; a ground
 			// database holds one universe for everything.
+			satStart := scrapeSamples(t)[fullSaturations]
 			if _, err := db.Entails(ctx, h); err != nil {
 				t.Fatal(err)
 			}
@@ -361,8 +366,11 @@ func TestPaperOpsShareThePreparedUniverse(t *testing.T) {
 			}
 			evalBothFlags(t, db)
 			ops()
-			if want := map[bool]uint64{false: 1, true: 2}[tc.blank]; db.Stats().PreparedFull != want {
-				t.Fatalf("PreparedFull = %d after warming both flags and every operation, want %d", db.Stats().PreparedFull, want)
+			if n := db.Stats().PreparedFull; n != 1 {
+				t.Fatalf("PreparedFull = %d after warming both flags and every operation, want 1", n)
+			}
+			if sat := scrapeSamples(t)[fullSaturations] - satStart; sat != 1 {
+				t.Fatalf("warming both flags and every operation ran %v full saturations, want 1", sat)
 			}
 			before, satBefore := db.Stats(), scrapeSamples(t)[fullSaturations]
 			queriesBefore := querySecondsFull.Count() + querySecondsCached.Count() + querySecondsDelta.Count()
@@ -384,9 +392,6 @@ func TestPaperOpsShareThePreparedUniverse(t *testing.T) {
 			}
 			if got := querySecondsFull.Count() + querySecondsCached.Count() + querySecondsDelta.Count(); got != queriesBefore {
 				t.Fatalf("paper operations observed %d query latencies", got-queriesBefore)
-			}
-			if tc.blank {
-				return // blank bases are not delta-maintained
 			}
 
 			fresh := T(v.node(200), Type, v.cls(200))
@@ -519,8 +524,12 @@ func TestEquivalentReadsOneSnapshot(t *testing.T) {
 // BenchmarkDBOps times the paper operations against a cached Eval on a
 // ground ArtSchema database (~10k triples, |cl| ≈ 4|D|): once warm,
 // each reads the prepared universe instead of re-saturating D.
-// infers_after_write adds one fresh ground triple per iteration
-// (untimed) and times the Infers that folds it in.
+// equivalent decides D ≡ D against a copy of D, whose h ⊨ D half
+// saturates that copy. infers_after_write adds one fresh ground triple
+// per iteration (untimed) and times the Infers that folds it in.
+// entails_after_write_nonground adds one blank triple first, then
+// times one ground write plus the Entails that folds it into the
+// now non-ground cl(D).
 func BenchmarkDBOps(b *testing.B) {
 	ctx := context.Background()
 	db, err := Open(WithGraph(gen.ArtSchema(63, 4, 5000, 42)))
@@ -556,6 +565,13 @@ func BenchmarkDBOps(b *testing.B) {
 	run("closure", func() error { _, err := db.Closure(ctx); return err })
 	run("normalform", func() error { _, err := db.NormalForm(ctx); return err })
 	run("fingerprint", func() error { _, err := db.Fingerprint(ctx); return err })
+	self := db.Graph()
+	run("equivalent", func() error {
+		if ok, err := db.Equivalent(ctx, self); err != nil || !ok {
+			return fmt.Errorf("D ≢ D (%v)", err)
+		}
+		return nil
+	})
 	n := 0
 	b.Run("infers_after_write", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -570,6 +586,19 @@ func BenchmarkDBOps(b *testing.B) {
 				b.Fatal("fresh triple not inferred")
 			}
 		}
+	})
+	if err := db.Add(T(Blank("anon"), Type, IRI("urn:semwebdb:Class:9"))); err != nil {
+		b.Fatal(err)
+	}
+	run("entails_after_write_nonground", func() error {
+		n++
+		if err := db.Add(T(IRI(fmt.Sprintf("urn:bench:new:%d", n)), Type, IRI("urn:semwebdb:Class:9"))); err != nil {
+			return err
+		}
+		if ok, err := db.Entails(ctx, h); err != nil || !ok {
+			return fmt.Errorf("fact not entailed (%v)", err)
+		}
+		return nil
 	})
 }
 

@@ -641,10 +641,11 @@ func TestReplDefineOnlyChunkKeepsPrepared(t *testing.T) {
 
 // TestReplCountersMatchLeaderUnderBlankNodes: leader and replica commit
 // every batch through the same path, so the prepared cache must take
-// the same route on both sides — the delta path for ground batches, a
-// drop for a batch with a blank node and for any batch over the
-// non-ground base it leaves, nothing at all for a batch that adds
-// nothing — while both serve the same nf(D) after every step.
+// the same route on both sides — the delta path into cl(D) for every
+// batch, with nf(D) discarded by a batch with a blank node and by any
+// batch over the non-ground base it leaves, nothing at all for a batch
+// that adds nothing — while both serve the from-scratch nf(D) after
+// every step.
 func TestReplCountersMatchLeaderUnderBlankNodes(t *testing.T) {
 	leaderDir, replicaDir := t.TempDir(), t.TempDir()
 	leader, err := OpenAt(leaderDir, WithoutFsync())
@@ -676,6 +677,13 @@ func TestReplCountersMatchLeaderUnderBlankNodes(t *testing.T) {
 		}
 		waitReplica(t, replica, leader)
 		assertConverged(t, replica, leader, replicaDir, leaderDir)
+		got, err := replica.Fingerprint(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := Fingerprint(context.Background(), replica.Graph()); err != nil || got != want {
+			t.Fatalf("after %s the replica's fingerprint (%v) differs from the from-scratch one", step.name, err)
+		}
 		ls, rs := leader.Stats(), replica.Stats()
 		if ls.PreparedFull != rs.PreparedFull || ls.PreparedDelta != rs.PreparedDelta ||
 			ls.PreparedFallbackNonGroundBatch != rs.PreparedFallbackNonGroundBatch ||
@@ -687,7 +695,7 @@ func TestReplCountersMatchLeaderUnderBlankNodes(t *testing.T) {
 		}
 	}
 	st := replica.Stats()
-	if st.PreparedDelta != 1 || st.PreparedFallbackNonGroundBatch != 1 || st.PreparedFallbackNonGroundBase != 1 {
-		t.Fatalf("replica counters %+v, want one delta pass and one fallback of each non-ground kind", st)
+	if st.PreparedFull != 1 || st.PreparedDelta != 3 || st.PreparedFallbackNonGroundBatch != 1 || st.PreparedFallbackNonGroundBase != 1 {
+		t.Fatalf("replica counters %+v, want one saturation, three delta passes and one discarded nf(D) of each non-ground kind", st)
 	}
 }
