@@ -108,7 +108,7 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -compare $(BENCH_GATE_FLAGS) $(BENCH_BASELINE) bench_fresh.json
 
 # Short fuzz pass over the parsers, the storage codecs and the
-# differential delta-closure and entailment targets (native Go fuzzing;
+# differential delta-closure, entailment and leanness targets (native Go fuzzing;
 # seeds under internal/*/testdata/fuzz and semweb/testdata/fuzz are
 # always exercised by plain `make test`).
 fuzz:
@@ -120,14 +120,17 @@ fuzz:
 	$(GO) test -fuzz FuzzReplStream -fuzztime 30s ./internal/repl/
 	$(GO) test -fuzz FuzzDeltaClosure -fuzztime 30s ./internal/closure/
 	$(GO) test -fuzz FuzzEntailmentAgrees -fuzztime 30s ./semweb/
+	$(GO) test -fuzz FuzzLeanAgrees -fuzztime 30s ./internal/core/
 
-# Short fuzz pass over the two differential targets the maintained
-# closure rests on: delta folds (blank nodes in base and batch) against
-# from-scratch closure, and DB.Entails over a delta-folded cl(D)
-# against the canonical model. CI runs this after test-stress.
+# Short fuzz pass over the three differential targets the maintained
+# cl(D) and nf(D) rest on: delta folds (blank nodes in base and batch)
+# against from-scratch closure, DB.Entails over a delta-folded cl(D)
+# against the canonical model, and the per-component lean and core
+# search against the per-triple oracle. CI runs this after test-stress.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeltaClosure -fuzztime 15s ./internal/closure/
 	$(GO) test -run '^$$' -fuzz FuzzEntailmentAgrees -fuzztime 15s ./semweb/
+	$(GO) test -run '^$$' -fuzz FuzzLeanAgrees -fuzztime 15s ./internal/core/
 
 # Run every example program (living API documentation).
 examples:

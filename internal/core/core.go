@@ -3,31 +3,37 @@
 // 3.7), the core of an RDF graph (Theorem 3.10), the normal form
 // nf(G) = core(cl(G)) (Definition 3.18), and the unique minimal
 // representation for the restricted graph class of Theorem 3.16.
+//
+// Maps fix IRIs, so leanness, cores and normal forms run on one search
+// per blank component (graph.BlankComponents). Lemma: G is non-lean iff,
+// for some blank b in some component C, there is a map C → G under which
+// no blank is sent to b. Forward: if μ(G) ⊊ G, some power ν of μ is
+// idempotent and ν(G) ⊊ G; ν fixes every blank of ν(G), so some blank b
+// of G does not occur in ν(G); restrict ν to b's component. Converse:
+// extend the map by the identity; its image misses every triple with b.
 package core
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"semwebdb/internal/canon"
 	"semwebdb/internal/closure"
+	"semwebdb/internal/dict"
 	"semwebdb/internal/graph"
 	"semwebdb/internal/hom"
+	"semwebdb/internal/match"
 	"semwebdb/internal/rdfs"
 	"semwebdb/internal/reduction"
 	"semwebdb/internal/term"
 )
 
 // IsLean reports whether G is lean (Definition 3.7): no map μ sends G to
-// a proper subgraph of itself.
-//
-// The implementation uses the single-triple-deletion characterization:
-// G is non-lean iff for some non-ground triple t ∈ G there is a map
-// G → G∖{t}. (If μ(G) ⊊ G then some t ∈ G∖μ(G), and μ is a map into
-// G∖{t}; conversely any such map has a proper image. Ground triples are
-// fixed points of every map, so only non-ground t need be tried.) The
-// problem is coNP-complete (Theorem 3.12), so exponential behaviour on
-// adversarial inputs is expected.
+// a proper subgraph of itself. By the package lemma it searches, for
+// each blank b of each blank component C, a map C → G that sends no
+// blank to b. The problem is coNP-complete (Theorem 3.12), and the
+// hardness lives inside a single component.
 func IsLean(g *graph.Graph) bool {
 	lean, _ := IsLeanCtx(context.Background(), g)
 	return lean
@@ -36,56 +42,107 @@ func IsLean(g *graph.Graph) bool {
 // IsLeanCtx is IsLean under a context: the underlying map searches poll
 // ctx and abort with its error when it is cancelled.
 func IsLeanCtx(ctx context.Context, g *graph.Graph) (bool, error) {
-	_, proper, err := findProperRetraction(ctx, g)
-	if err != nil {
-		return false, err
+	f := hom.NewFinder(match.NewIndex(g))
+	for _, comp := range g.BlankComponents() {
+		if mu, err := findProperRetraction(ctx, f, g.Dict(), comp, nil); mu != nil || err != nil {
+			return false, err
+		}
 	}
-	return !proper, nil
+	return true, nil
 }
 
-// findProperRetraction returns a map μ with μ(G) ⊊ G, if one exists.
-func findProperRetraction(ctx context.Context, g *graph.Graph) (graph.Map, bool, error) {
-	for _, t := range g.NonGroundTriples() {
-		mu, ok, err := hom.FindMapCtx(ctx, g, g.Without(t))
-		if err != nil {
-			return nil, false, err
+// findProperRetraction returns a map μ : cur → H, where H is G without
+// the triples of the gone blanks, that misses some blank of the
+// component triples cur, or nil if cur is lean in H.
+func findProperRetraction(ctx context.Context, f *hom.Finder, d *dict.Dict, cur []dict.Triple3, gone map[dict.ID]bool) (match.Binding, error) {
+	ps, nodes := decode(d, cur), make([]dict.ID, 0, 2*len(cur))
+	for _, t := range cur {
+		nodes = append(nodes, t[0], t[2])
+	}
+	slices.Sort(nodes)
+	for _, b := range slices.Compact(nodes) {
+		if d.KindOf(b) != term.KindBlank {
+			continue
 		}
-		if ok {
-			return mu, true, nil
+		mu, ok, err := f.FindCtx(ctx, ps, func(_, v dict.ID) bool { return v != b && !gone[v] })
+		if ok || err != nil {
+			return mu, err
 		}
 	}
-	return nil, false, nil
+	return nil, nil
+}
+
+func decode(d *dict.Dict, ts []dict.Triple3) []graph.Triple {
+	out := make([]graph.Triple, len(ts))
+	for i, t := range ts {
+		out[i] = graph.T(d.TermOf(t[0]), d.TermOf(t[1]), d.TermOf(t[2]))
+	}
+	return out
 }
 
 // Core returns core(G): the unique (up to isomorphism) lean subgraph of G
-// that is an instance of G (Theorem 3.10). The second return value is the
-// composed retraction map μ with μ(G) = core(G).
+// that is an instance of G (Theorem 3.10), and a map μ with μ(G) = core(G).
 //
-// The algorithm iteratively retracts: while a map μ with μ(G) ⊊ G exists,
-// replace G by μ(G). Each step removes at least one triple, so at most
-// |G| homomorphism searches of searches happen; each search is
-// NP-complete in general (Theorem 3.12 makes this unavoidable).
+// It retracts one blank component C at a time: while the package lemma
+// finds a map C → H missing a blank of C, C is replaced by its image,
+// where H, the current retract, is G without the triples of the blanks
+// gone so far. Each retraction removes a blank, so a component of k
+// blanks costs at most k retractions of at most k map searches each,
+// and each search is NP-complete in general (Theorem 3.12).
 func Core(g *graph.Graph) (*graph.Graph, graph.Map) {
 	c, mu, _ := CoreCtx(context.Background(), g)
 	return c, mu
 }
 
-// CoreCtx is Core under a context: each retraction's map search polls
-// ctx and the computation aborts with its error when it is cancelled.
+// CoreCtx is Core under a context: each map search polls ctx and the
+// computation aborts with its error when it is cancelled. The searches
+// run on G's own index and avoid the gone blanks, so only the returned
+// graph is a copy. μ is one map per retracted component into the final
+// H; together they send G onto H, which is lean (composing the
+// retractions instead would cost O(|moved blanks|) per retraction).
 func CoreCtx(ctx context.Context, g *graph.Graph) (*graph.Graph, graph.Map, error) {
-	cur := g.Clone()
-	total := make(graph.Map)
-	for {
-		mu, proper, err := findProperRetraction(ctx, cur)
+	d := g.Dict()
+	f := hom.NewFinder(match.NewIndex(g))
+	gone := make(map[dict.ID]bool)
+	goneIn := func(t dict.Triple3) bool { return gone[t[0]] || gone[t[2]] }
+	var retracted [][]dict.Triple3
+	for _, comp := range g.BlankComponents() {
+		cur := comp
+		mu, err := findProperRetraction(ctx, f, d, cur, gone)
+		for ; mu != nil; mu, err = findProperRetraction(ctx, f, d, cur, gone) {
+			// The blanks of C outside the image go, with their triples.
+			for x := range mu {
+				gone[x] = true
+			}
+			for _, v := range mu {
+				delete(gone, v)
+			}
+			cur = slices.DeleteFunc(slices.Clone(cur), goneIn)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
-		if !proper {
-			return cur, total, nil
+		if len(cur) < len(comp) {
+			retracted = append(retracted, comp)
 		}
-		cur = mu.Apply(cur)
-		total = total.Compose(mu)
 	}
+	c, total := g.Clone(), make(graph.Map)
+	for _, comp := range retracted {
+		ps := decode(d, comp)
+		mu, _, err := f.FindCtx(ctx, ps, func(_, v dict.ID) bool { return !gone[v] })
+		if err != nil {
+			return nil, nil, err
+		}
+		for x, v := range mu {
+			total[d.TermOf(x)] = d.TermOf(v)
+		}
+		for i, t := range comp {
+			if goneIn(t) {
+				c.Remove(ps[i])
+			}
+		}
+	}
+	return c, total, nil
 }
 
 // CoreGraph is Core without the witness map.

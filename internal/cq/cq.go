@@ -27,44 +27,24 @@ import (
 // graph on the blank nodes of G — with an edge between two distinct
 // blanks whenever some triple connects them — is a forest. If it is, Q_G
 // is an acyclic conjunctive query and entailment into G is decidable in
-// polynomial time.
+// polynomial time. Each blank component of G (graph.BlankComponents) is
+// connected, so it is a tree iff it has fewer edges than blanks.
 func BlankCycleFree(g *graph.Graph) bool {
-	adj := map[term.Term]map[term.Term]struct{}{}
-	addEdge := func(a, b term.Term) {
-		if adj[a] == nil {
-			adj[a] = map[term.Term]struct{}{}
-		}
-		adj[a][b] = struct{}{}
-	}
-	g.Each(func(t graph.Triple) bool {
-		if t.S.IsBlank() && t.O.IsBlank() && t.S != t.O {
-			addEdge(t.S, t.O)
-			addEdge(t.O, t.S)
-		}
-		return true
-	})
-	// Forest check: DFS counting edges vs vertices per component.
-	seen := map[term.Term]bool{}
-	for start := range adj {
-		if seen[start] {
-			continue
-		}
-		verts, edges := 0, 0
-		stack := []term.Term{start}
-		seen[start] = true
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			verts++
-			for m := range adj[n] {
-				edges++ // counts each undirected edge twice
-				if !seen[m] {
-					seen[m] = true
-					stack = append(stack, m)
+	d := g.Dict()
+	for _, comp := range g.BlankComponents() {
+		blanks, edges := map[dict.ID]bool{}, map[[2]dict.ID]bool{}
+		for _, t := range comp {
+			s, o := t[0], t[2]
+			for _, x := range [2]dict.ID{s, o} {
+				if d.KindOf(x) == term.KindBlank {
+					blanks[x] = true
 				}
 			}
+			if s != o && blanks[s] && blanks[o] {
+				edges[[2]dict.ID{min(s, o), max(s, o)}] = true
+			}
 		}
-		if edges/2 >= verts {
+		if len(edges) >= len(blanks) {
 			return false
 		}
 	}

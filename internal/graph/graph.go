@@ -129,9 +129,6 @@ func NewWithDictCap(d *dict.Dict, n int) *Graph {
 	return &Graph{d: d, set: make(map[dict.Triple3]struct{}, n)}
 }
 
-// FromTriples builds a graph from a slice of triples.
-func FromTriples(ts []Triple) *Graph { return New(ts...) }
-
 // Dict returns the dictionary the graph interns into. Graphs derived
 // from this one (clones, unions, instances, closures) share it.
 func (g *Graph) Dict() *dict.Dict { return g.d }
@@ -736,16 +733,10 @@ func (g *Graph) BlankIDs() map[dict.ID]struct{} {
 	d := g.d
 	b := make(map[dict.ID]struct{})
 	g.EachID(func(enc dict.Triple3) bool {
-		if d.KindOf(enc[0]) == term.KindBlank {
-			b[enc[0]] = struct{}{}
-		}
-		if d.KindOf(enc[2]) == term.KindBlank {
-			b[enc[2]] = struct{}{}
-		}
-		// A blank predicate cannot occur in a well-formed triple, but
-		// Map.Apply keeps instances exactly as produced, so check anyway.
-		if d.KindOf(enc[1]) == term.KindBlank {
-			b[enc[1]] = struct{}{}
+		for _, id := range enc { // Map.Apply keeps ill-formed instances
+			if d.KindOf(id) == term.KindBlank {
+				b[id] = struct{}{}
+			}
 		}
 		return true
 	})
@@ -774,18 +765,18 @@ func (g *Graph) BlankNodeList() []term.Term {
 
 // IsGround reports whether G has no blank nodes.
 func (g *Graph) IsGround() bool {
-	d := g.d
 	ground := true
 	g.EachID(func(enc dict.Triple3) bool {
-		if d.KindOf(enc[0]) == term.KindBlank ||
-			d.KindOf(enc[1]) == term.KindBlank ||
-			d.KindOf(enc[2]) == term.KindBlank {
-			ground = false
-			return false
-		}
-		return true
+		ground = g.groundID(enc)
+		return ground
 	})
 	return ground
+}
+
+// groundID reports whether no position of enc holds a blank node.
+func (g *Graph) groundID(enc dict.Triple3) bool {
+	return g.d.KindOf(enc[0]) != term.KindBlank && g.d.KindOf(enc[1]) != term.KindBlank &&
+		g.d.KindOf(enc[2]) != term.KindBlank
 }
 
 // Predicates returns the set of predicates used in G.
@@ -986,11 +977,6 @@ func Unskolemize(h *Graph) *Graph {
 	return out
 }
 
-// IsSkolemConstant reports whether the term is a skolem constant c_X.
-func IsSkolemConstant(x term.Term) bool {
-	return x.IsIRI() && strings.HasPrefix(x.Value, SkolemPrefix)
-}
-
 // RenameBlanksApart returns a copy of g whose blank nodes are renamed with
 // the given suffix so that they are disjoint from any "natural" blanks.
 // It is used to implement merge semantics of answers and Ω_q rewriting.
@@ -1004,33 +990,55 @@ func RenameBlanksApart(g *Graph, suffix string) *Graph {
 
 // GroundPart returns the subgraph of ground triples of g.
 func (g *Graph) GroundPart() *Graph {
-	d := g.d
 	out := NewWithDict(g.d)
 	g.EachID(func(enc dict.Triple3) bool {
-		if d.KindOf(enc[0]) == term.KindBlank ||
-			d.KindOf(enc[1]) == term.KindBlank ||
-			d.KindOf(enc[2]) == term.KindBlank {
-			return true
+		if g.groundID(enc) {
+			out.set[enc] = struct{}{}
 		}
-		out.set[enc] = struct{}{}
 		return true
 	})
 	return out
 }
 
-// NonGroundTriples returns the triples mentioning at least one blank, in
-// canonical order.
-func (g *Graph) NonGroundTriples() []Triple {
-	d := g.d
-	var out []Triple
-	g.EachID(func(enc dict.Triple3) bool {
-		if d.KindOf(enc[0]) == term.KindBlank ||
-			d.KindOf(enc[1]) == term.KindBlank ||
-			d.KindOf(enc[2]) == term.KindBlank {
-			out = append(out, g.decode(enc))
+// BlankComponents partitions the non-ground triples of g by blank
+// component: blanks are connected when one triple holds both, and a
+// component holds every triple of its blanks, so a map moves its blanks
+// independently of the rest. Triples and components are in SPO ID order.
+func (g *Graph) BlankComponents() [][]dict.Triple3 {
+	parent := make(map[dict.ID]dict.ID)
+	find := func(x dict.ID) dict.ID {
+		for p, ok := parent[x]; ok; p, ok = parent[x] {
+			if gp, ok := parent[p]; ok {
+				parent[x] = gp // path halving
+			}
+			x = p
+		}
+		return x
+	}
+	var nonGround []dict.Triple3
+	g.EachID(func(t dict.Triple3) bool {
+		s, o := g.d.KindOf(t[0]) == term.KindBlank, g.d.KindOf(t[2]) == term.KindBlank
+		if s && o && find(t[0]) != find(t[2]) {
+			parent[find(t[0])] = find(t[2])
+		}
+		if s || o {
+			nonGround = append(nonGround, t)
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	dict.SortIndex(nonGround)
+	at := make(map[dict.ID]int)
+	var out [][]dict.Triple3
+	for _, t := range nonGround {
+		r := find(t[2]) // t's component: its object's, or its subject's
+		if g.d.KindOf(t[0]) == term.KindBlank {
+			r = find(t[0])
+		}
+		if _, ok := at[r]; !ok {
+			at[r] = len(out)
+			out = append(out, nil)
+		}
+		out[at[r]] = append(out[at[r]], t)
+	}
 	return out
 }

@@ -269,9 +269,25 @@ func TestGroundPartAndNonGround(t *testing.T) {
 	if g.GroundPart().Len() != 1 {
 		t.Fatal("ground part wrong")
 	}
-	ng := g.NonGroundTriples()
-	if len(ng) != 1 || ng[0] != tr("a", "p", "_:x") {
-		t.Fatal("non-ground triples wrong")
+	comps := g.BlankComponents()
+	if len(comps) != 1 || len(comps[0]) != 1 || g.decode(comps[0][0]) != tr("a", "p", "_:x") {
+		t.Fatalf("blank components = %v, want the one non-ground triple", comps)
+	}
+	// _:x and _:z meet through _:y; _:w is a component of its own.
+	g = New(tr("a", "p", "b"), tr("_:x", "p", "_:y"), tr("_:z", "q", "_:y"),
+		tr("_:y", "r", "c"), tr("_:w", "p", "_:w"), tr("_:w", "q", "a"))
+	comps = g.BlankComponents()
+	if len(comps) != 2 || len(comps[0])+len(comps[1]) != 5 {
+		t.Fatalf("blank components = %v, want two covering the 5 non-ground triples", comps)
+	}
+	for _, comp := range comps {
+		blanks := NewWithDict(g.Dict())
+		for _, enc := range comp {
+			blanks.AddID(enc)
+		}
+		if n := len(blanks.BlankIDs()); n != 3 && n != 1 {
+			t.Fatalf("component %v has %d blanks, want 3 or 1", blanks, n)
+		}
 	}
 }
 

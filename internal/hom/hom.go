@@ -45,22 +45,25 @@ func (f *Finder) solver(opts match.Options) *match.Solver {
 
 // Find returns a map μ with μ(src) ⊆ dst, if one exists.
 func (f *Finder) Find(src *graph.Graph) (graph.Map, bool) {
-	m, ok, _ := f.FindCtx(context.Background(), src)
-	return m, ok
+	b, ok, _ := f.FindCtx(context.Background(), src.Triples(), nil)
+	if !ok {
+		return nil, false
+	}
+	return graph.Map(b.Terms(f.d)), true
 }
 
-// FindCtx is Find under a context: the backtracking search polls ctx
-// periodically and aborts with its error when it is cancelled.
-func (f *Finder) FindCtx(ctx context.Context, src *graph.Graph) (graph.Map, bool, error) {
-	solver := f.solver(match.Options{Ctx: ctx})
-	b, ok, _ := solver.First(src.Triples())
+// FindCtx returns a map μ with μ(ps) ⊆ dst, if one exists, as a binding
+// of the blanks of ps over IDs of dst's dictionary (or of the Finder's
+// overlay, for terms dst lacks); admissible, when non-nil, filters the
+// values a blank may take. The search polls ctx and aborts with its
+// error when it is cancelled.
+func (f *Finder) FindCtx(ctx context.Context, ps []graph.Triple, admissible func(blank, value dict.ID) bool) (match.Binding, bool, error) {
+	solver := f.solver(match.Options{Ctx: ctx, Admissible: admissible})
+	b, ok, _ := solver.First(ps)
 	if err := solver.Err(); err != nil {
 		return nil, false, err
 	}
-	if !ok {
-		return nil, false, nil
-	}
-	return bindingToMap(b, f.d), true, nil
+	return b, ok, nil
 }
 
 // FindBudget is Find with a bounded search budget. The third result is
@@ -71,7 +74,7 @@ func (f *Finder) FindBudget(src *graph.Graph, maxSteps int) (graph.Map, bool, bo
 	if !ok {
 		return nil, false, complete
 	}
-	return bindingToMap(b, f.d), true, true
+	return graph.Map(b.Terms(f.d)), true, true
 }
 
 // Enumerate yields every map μ with μ(src) ⊆ dst until yield returns
@@ -83,24 +86,14 @@ func (f *Finder) Enumerate(src *graph.Graph, yield func(graph.Map) bool) bool {
 // enumerate is Enumerate under extra search options.
 func (f *Finder) enumerate(src *graph.Graph, opts match.Options, yield func(graph.Map) bool) bool {
 	return f.solver(opts).Solve(src.Triples(), func(b match.Binding) bool {
-		return yield(bindingToMap(b, f.d))
+		return yield(graph.Map(b.Terms(f.d)))
 	})
-}
-
-// bindingToMap decodes an ID-level binding into a term-level map μ.
-func bindingToMap(b match.Binding, d *dict.Dict) graph.Map {
-	return graph.Map(b.Terms(d))
 }
 
 // FindMap returns a map μ : src → dst (i.e. μ(src) ⊆ dst), if one exists.
 // This is the paper's overloaded "map μ : G1 → G2" (Section 2.1).
 func FindMap(src, dst *graph.Graph) (graph.Map, bool) {
 	return NewFinder(match.NewIndex(dst)).Find(src)
-}
-
-// FindMapCtx is FindMap under a context (see Finder.FindCtx).
-func FindMapCtx(ctx context.Context, src, dst *graph.Graph) (graph.Map, bool, error) {
-	return NewFinder(match.NewIndex(dst)).FindCtx(ctx, src)
 }
 
 // ExistsMap reports whether there is a map src → dst.

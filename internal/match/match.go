@@ -329,15 +329,6 @@ func Solve(patterns []graph.Triple, data *graph.Graph, opts Options, yield func(
 	return NewSolver(NewIndex(data), opts).Solve(patterns, yield)
 }
 
-// SolveCtx is Solve under a context: the search polls ctx periodically
-// and returns its error if it was cancelled before the space was covered.
-func SolveCtx(ctx context.Context, patterns []graph.Triple, data *graph.Graph, opts Options, yield func(Binding) bool) error {
-	opts.Ctx = ctx
-	s := NewSolver(NewIndex(data), opts)
-	s.Solve(patterns, yield)
-	return s.Err()
-}
-
 // First returns the first solution found, if any. The bool result is the
 // completeness flag of the underlying search: if false and no solution was
 // found, the search was inconclusive (budget exhausted).

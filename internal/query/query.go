@@ -457,39 +457,15 @@ func skolemBlank(n term.Term, signature string) term.Term {
 	return term.NewBlank(fmt.Sprintf("sk_%s_%016x", n.Value, h.Sum64()))
 }
 
-// IsLeanAnswer reports whether the assembled answer graph is lean. Under
-// union semantics this is the coNP-complete check of Theorem 6.2; under
-// merge semantics the polynomial single-map procedure of Theorem 6.3 is
-// used.
+// IsLeanAnswer reports whether the answer graph A is lean, by
+// core.IsLean under both semantics. Under union semantics singles share
+// D's blanks, so a component can span A: coNP-complete (Theorem 6.2).
+// Under merge semantics each blank component lies in one single answer
+// v(H), so it has at most |H| triples and 2|H| blanks, and the test is
+// at most 2|H| searches of |A|^|H| steps per component: polynomial for
+// a fixed query (Theorem 6.3).
 func IsLeanAnswer(a *Answer) bool {
-	if a.Semantics == MergeSemantics {
-		return mergeAnswerLean(a)
-	}
 	return core.IsLean(a.Graph)
-}
-
-// mergeAnswerLean implements Theorem 6.3: under merge semantics single
-// answers share no blanks, so every self-map of the answer is a union of
-// single maps, and the answer is non-lean iff some single answer Gj has a
-// non-ground triple t and a map Gj → A∖{t}. This runs in time polynomial
-// in the number of single answers for a fixed query.
-func mergeAnswerLean(a *Answer) bool {
-	blanks := match.Options{IsUnknown: func(x term.Term) bool { return x.IsBlank() }}
-	for i, s := range a.Singles {
-		// The single as it appears inside a.Graph.
-		gj := graph.RenameBlanksApart(s, fmt.Sprintf("!m%d", i))
-		for _, t := range gj.NonGroundTriples() {
-			found := false
-			match.Solve(gj.Triples(), a.Graph.Without(t), blanks, func(match.Binding) bool {
-				found = true
-				return false
-			})
-			if found {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // EliminateRedundancy returns an equivalent lean version of the answer

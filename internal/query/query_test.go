@@ -2,10 +2,10 @@ package query
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
-	"semwebdb/internal/core"
 	"semwebdb/internal/entail"
 	"semwebdb/internal/graph"
 	"semwebdb/internal/hom"
@@ -453,10 +453,10 @@ func TestMergeSemanticsLeanCheckTheorem63(t *testing.T) {
 	if IsLeanAnswer(m) {
 		t.Fatalf("merge answer should not be lean:\n%v", m.Graph)
 	}
-	// The polynomial Theorem 6.3 procedure must agree with the general
-	// coNP lean check on the same graph.
-	if IsLeanAnswer(m) != core.IsLean(m.Graph) {
-		t.Fatal("Theorem 6.3 procedure disagrees with the general lean check")
+	// The component search must agree with Theorem 6.3's per-single
+	// procedure on the same answer.
+	if IsLeanAnswer(m) != singlesOracleLean(m) {
+		t.Fatal("component search disagrees with the Theorem 6.3 procedure")
 	}
 
 	// A genuinely lean merge answer.
@@ -468,8 +468,8 @@ func TestMergeSemanticsLeanCheckTheorem63(t *testing.T) {
 	if !IsLeanAnswer(m2) {
 		t.Fatal("ground merge answer must be lean")
 	}
-	if IsLeanAnswer(m2) != core.IsLean(m2.Graph) {
-		t.Fatal("Theorem 6.3 procedure disagrees on the lean case")
+	if IsLeanAnswer(m2) != singlesOracleLean(m2) {
+		t.Fatal("component search disagrees with the Theorem 6.3 procedure on the lean case")
 	}
 }
 
@@ -571,6 +571,69 @@ func TestPrepareKeepsSkolemPrefixedIRIs(t *testing.T) {
 		}
 		if _, ok := d.Dict().Lookup(blk("x")); ok {
 			t.Fatalf("skipNF=%v: the skolem-prefixed IRI was unskolemized into a blank node", skipNF)
+		}
+	}
+}
+
+// singlesOracleLean is the reference for IsLeanAnswer under merge
+// semantics: Theorem 6.3's per-single search. The singles of a merge
+// answer share no blanks, so A is non-lean iff some single Gj, as it
+// appears inside A, has a non-ground triple t and a map Gj → A∖{t}.
+func singlesOracleLean(a *Answer) bool {
+	for i, s := range a.Singles {
+		gj := graph.RenameBlanksApart(s, fmt.Sprintf("!m%d", i))
+		for _, t := range gj.Triples() {
+			if !t.IsGround() && hom.ExistsMap(gj, a.Graph.Without(t)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// triplesOracleLean is the per-triple test of Definition 3.7: G is
+// non-lean iff some non-ground triple t has a map G → G∖{t}.
+func triplesOracleLean(g *graph.Graph) bool {
+	for _, t := range g.Triples() {
+		if !t.IsGround() && hom.ExistsMap(g, g.Without(t)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIsLeanAnswerAgreesWithOracles checks IsLeanAnswer on E13-shaped
+// answers under both semantics against the per-triple oracle, and under
+// merge semantics against the per-single one too.
+func TestIsLeanAnswerAgreesWithOracles(t *testing.T) {
+	a, p, q := iri("a"), iri("p"), iri("q")
+	z, u, c := v("Z"), v("U"), v("C")
+	project := New([]graph.Triple{{S: z, P: p, O: u}}, []graph.Triple{{S: z, P: p, O: u}})
+	keep := New(
+		[]graph.Triple{{S: z, P: p, O: u}, {S: u, P: q, O: c}},
+		[]graph.Triple{{S: z, P: p, O: u}, {S: u, P: q, O: c}},
+	)
+	for n := 1; n <= 4; n++ {
+		d := graph.New(graph.T(a, p, iri("b")))
+		for i := 0; i < n; i++ {
+			x := blk(fmt.Sprintf("X%d", i))
+			d.Add(graph.T(a, p, x))
+			d.Add(graph.T(x, q, iri(fmt.Sprintf("c%d", i))))
+		}
+		for _, sem := range []Semantics{UnionSemantics, MergeSemantics} {
+			for name, qq := range map[string]*Query{"project": project, "keep": keep} {
+				ans := eval(t, qq, d, Options{Semantics: sem})
+				got := IsLeanAnswer(ans)
+				if want := triplesOracleLean(ans.Graph); got != want {
+					t.Fatalf("n=%d %s sem=%v: IsLeanAnswer = %v, per-triple oracle %v\n%v", n, name, sem, got, want, ans.Graph)
+				}
+				if sem == MergeSemantics && got != singlesOracleLean(ans) {
+					t.Fatalf("n=%d %s: IsLeanAnswer = %v, per-single oracle %v\n%v", n, name, got, !got, ans.Graph)
+				}
+				if wantLean := name == "keep"; got != wantLean {
+					t.Fatalf("n=%d %s sem=%v: IsLeanAnswer = %v, want %v\n%v", n, name, sem, got, wantLean, ans.Graph)
+				}
+			}
 		}
 	}
 }

@@ -1095,7 +1095,7 @@ func (db *DB) Entails(ctx context.Context, h *Graph) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	_, ok, err := hom.NewFinder(st.ix).FindCtx(ctx, h)
+	_, ok, err := hom.NewFinder(st.ix).FindCtx(ctx, h.Triples(), nil)
 	return ok, wrapEngineError(err)
 }
 
@@ -1117,7 +1117,7 @@ func (db *DB) Equivalent(ctx context.Context, h *Graph) (bool, error) {
 // equivalentIn decides D ≡ h for the snapshot D the prepared cl(D) st
 // covers, so both halves read one snapshot.
 func equivalentIn(ctx context.Context, st *preparedState, h *Graph) (bool, error) {
-	if _, ok, err := hom.NewFinder(st.ix).FindCtx(ctx, h); !ok || err != nil {
+	if _, ok, err := hom.NewFinder(st.ix).FindCtx(ctx, h.Triples(), nil); !ok || err != nil {
 		return false, wrapEngineError(err)
 	}
 	return Entails(ctx, h, st.base)

@@ -529,7 +529,9 @@ func TestEquivalentReadsOneSnapshot(t *testing.T) {
 // per iteration (untimed) and times the Infers that folds it in.
 // entails_after_write_nonground adds one blank triple first, then
 // times one ground write plus the Entails that folds it into the
-// now non-ground cl(D).
+// now non-ground cl(D). normalform_after_write_nonground times one
+// ground write plus the NormalForm that re-cores the folded cl(D), and
+// islean_nonground the leanness test of the non-lean D.
 func BenchmarkDBOps(b *testing.B) {
 	ctx := context.Background()
 	db, err := Open(WithGraph(gen.ArtSchema(63, 4, 5000, 42)))
@@ -597,6 +599,20 @@ func BenchmarkDBOps(b *testing.B) {
 		}
 		if ok, err := db.Entails(ctx, h); err != nil || !ok {
 			return fmt.Errorf("fact not entailed (%v)", err)
+		}
+		return nil
+	})
+	run("normalform_after_write_nonground", func() error {
+		n++
+		if err := db.Add(T(IRI(fmt.Sprintf("urn:bench:new:%d", n)), Type, IRI("urn:semwebdb:Class:9"))); err != nil {
+			return err
+		}
+		_, err := db.NormalForm(ctx)
+		return err
+	})
+	run("islean_nonground", func() error {
+		if lean, err := db.IsLean(ctx); err != nil || lean {
+			return fmt.Errorf("IsLean = %v (%v), want false: _:anon maps onto a typed individual", lean, err)
 		}
 		return nil
 	})
