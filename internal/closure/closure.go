@@ -3,6 +3,13 @@
 // of G under rules (2)–(13)), which is also the semantic closure cl(G)
 // of Definition 3.5 (Lemma 3.4, Theorem 3.6(2)), and the
 // membership-without-materialization test of Theorem 3.6(4).
+//
+// One semi-naive engine computes every closure. A full saturation of a
+// graph that keeps rdfsV out of subject and object positions runs it on
+// the schema triples only and then makes one compiled pass over the
+// instance triples (schemafirst.go). Any other graph is saturated by
+// the engine over all its triples, and the incremental Maintainer runs
+// the engine on each inserted batch.
 package closure
 
 import (
@@ -20,45 +27,73 @@ import (
 // rules (2)–(13) (Definition 2.7). The input graph is not modified; the
 // result shares its dictionary.
 //
-// The computation is a semi-naive (delta-driven) fixpoint over interned
-// term IDs: every triple is processed exactly once, joining against
-// incrementally maintained ID-keyed indexes, so no rule instantiation is
-// re-derived from scratch per round and no string is compared anywhere.
-// NaiveRDFSCl is the round-based baseline (ablation A2).
+// The computation runs over interned term IDs, never comparing a
+// string. When no rdfsV term occurs in a subject or object position of
+// G — the class of Theorem 3.16, in which Membership also answers
+// without materializing — it is schema-first (schemafirst.go): the
+// semi-naive engine closes the schema triples alone, then one pass
+// over the instance triples emits each one's consequences from
+// per-predicate plans compiled from the closed schema, and no derived
+// instance triple is processed again. Otherwise the semi-naive engine
+// saturates all of G, processing every admitted triple exactly once
+// against incrementally maintained ID-keyed indexes. NaiveRDFSCl is
+// the round-based baseline (ablation A2).
 func RDFSCl(g *graph.Graph) *graph.Graph {
 	out, _ := RDFSClCtx(context.Background(), g)
 	return out
 }
 
-// RDFSClCtx is RDFSCl under a context: the saturation loop polls ctx
-// periodically and aborts with its error when it is cancelled, so
-// closures of large graphs are interruptible.
+// RDFSClCtx is RDFSCl under a context: the engine and the compiled
+// instance pass poll ctx periodically and abort with its error when it
+// is cancelled, so closures of large graphs are interruptible.
 func RDFSClCtx(ctx context.Context, g *graph.Graph) (*graph.Graph, error) {
-	return rdfsClSequential(ctx, g, lifoOrder, nil)
-}
-
-// rdfsClSequential runs the single-threaded semi-naive engine with an
-// explicit queue drain order (tests use FIFO/shuffled to assert the
-// result is order-independent).
-func rdfsClSequential(ctx context.Context, g *graph.Graph, order queueOrder, rng *rand.Rand) (*graph.Graph, error) {
 	t0 := time.Now()
 	e := newEngine(g.Dict())
-	e.order, e.shuffleRng = order, rng
-	g.EachID(func(t dict.Triple3) bool {
-		e.add(t)
-		return true
-	})
-	// Rule (9): (p, sp, p) for every p ∈ rdfsV, unconditionally.
-	for _, p := range rdfs.Vocabulary() {
-		pid := e.d.Intern(p)
-		e.add(dict.Triple3{pid, e.sp, pid})
+	schema, ok := e.schemaTriples(g)
+	if !ok {
+		return e.saturate(ctx, g, t0)
 	}
-	if err := e.run(ctx); err != nil {
+	if err := e.schemaFirst(ctx, g, schema); err != nil {
 		return nil, err
 	}
 	satFull.Inc()
 	satSecondsFull.ObserveSince(t0)
 	return e.out, nil
+}
+
+// rdfsClSequential runs the semi-naive engine on all of g, whatever
+// its shape, with an explicit queue drain order (tests use
+// FIFO/shuffled to assert the result is order-independent, and compare
+// it with the schema-first path).
+func rdfsClSequential(ctx context.Context, g *graph.Graph, order queueOrder, rng *rand.Rand) (*graph.Graph, error) {
+	t0 := time.Now()
+	e := newEngine(g.Dict())
+	e.order, e.shuffleRng = order, rng
+	return e.saturate(ctx, g, t0)
+}
+
+// saturate is the generic full saturation: every triple of g and the
+// rule (9) loops are queued and the engine runs to its fixpoint.
+func (e *engine) saturate(ctx context.Context, g *graph.Graph, t0 time.Time) (*graph.Graph, error) {
+	g.EachID(func(t dict.Triple3) bool {
+		e.add(t)
+		return true
+	})
+	e.addVocabularyLoops()
+	if err := e.run(ctx); err != nil {
+		return nil, err
+	}
+	satFullGeneric.Inc()
+	satSecondsFullGeneric.ObserveSince(t0)
+	return e.out, nil
+}
+
+// addVocabularyLoops adds rule (9): (p, sp, p) for every p ∈ rdfsV,
+// unconditionally.
+func (e *engine) addVocabularyLoops() {
+	for _, p := range []dict.ID{e.sp, e.sc, e.typ, e.dom, e.rng} {
+		e.add(dict.Triple3{p, e.sp, p})
+	}
 }
 
 // NaiveRDFSCl computes the closure by re-enumerating every rule
@@ -112,8 +147,8 @@ type engine struct {
 
 	// Local metric tallies: plain fields, flushed to the process-global
 	// counters once per run (metrics.go), never atomics per firing.
-	fired   uint64 // add calls — conclusions emitted, duplicates included
-	derived uint64 // add admissions — novel triples entering the closure
+	fired   uint64 // add and emit calls — conclusions emitted, duplicates included
+	derived uint64 // their admissions — novel triples entering the closure
 }
 
 func newEngine(d *dict.Dict) *engine {
@@ -167,6 +202,17 @@ func (e *engine) add(t dict.Triple3) {
 	}
 	e.indexTriple(t)
 	e.queue = append(e.queue, t)
+}
+
+// addLoop adds the reflexive (x, pred, x) unless index m (spOut for
+// sp, scOut for sc) already holds it. indexTriple runs on every
+// admission and every seed, so the probe is exact, and it saves the
+// rules that fire a loop per processed triple — (8) and (12) — a probe
+// of the much larger dedup set on each firing.
+func (e *engine) addLoop(m map[dict.ID]map[dict.ID]struct{}, pred, x dict.ID) {
+	if _, ok := m[x][x]; !ok {
+		e.add(dict.Triple3{x, pred, x})
+	}
 }
 
 // seed admits a triple of an already-saturated base: it is deduped,
@@ -256,21 +302,20 @@ func (e *engine) process(t dict.Triple3) {
 	s, p, o := t[0], t[1], t[2]
 	// Rules that see t as a generic triple (X, A, Y).
 	// Rule (8): (X,A,Y) ⊢ (A,sp,A).
-	e.add(dict.Triple3{p, e.sp, p})
-	// Rule (3): (A,sp,B), (X,A,Y) ⊢ (X,B,Y), for the new (X,A,Y) = t.
+	e.addLoop(e.spOut, e.sp, p)
 	for b := range e.spOut[p] {
+		// Rule (3): (A,sp,B), (X,A,Y) ⊢ (X,B,Y), for the new (X,A,Y) = t.
 		if e.canPredicate(b) {
 			e.add(dict.Triple3{s, b, o})
 		}
-	}
-	// Rules (6)/(7) with t as the body triple (X,C,Y): C sp A (or C = A,
-	// whose reflexive sp loop is handled when (C,sp,C) is processed).
-	for a := range e.spOut[p] {
-		for _, b := range e.domOf[a] {
-			e.add(dict.Triple3{s, e.typ, b})
+		// Rules (6)/(7) with t as the body triple (X,C,Y): C sp A (or
+		// C = A, whose reflexive sp loop is handled when (C,sp,C) is
+		// processed).
+		for _, c := range e.domOf[b] {
+			e.add(dict.Triple3{s, e.typ, c})
 		}
-		for _, b := range e.rangeOf[a] {
-			e.add(dict.Triple3{o, e.typ, b})
+		for _, c := range e.rangeOf[b] {
+			e.add(dict.Triple3{o, e.typ, c})
 		}
 	}
 
@@ -285,8 +330,8 @@ func (e *engine) process(t dict.Triple3) {
 			e.add(dict.Triple3{z, e.sp, b})
 		}
 		// Rule (11): reflexivity of both endpoints.
-		e.add(dict.Triple3{a, e.sp, a})
-		e.add(dict.Triple3{b, e.sp, b})
+		e.addLoop(e.spOut, e.sp, a)
+		e.addLoop(e.spOut, e.sp, b)
 		// Rule (3) with t as the (A,sp,B) antecedent.
 		if e.canPredicate(b) {
 			for _, body := range e.byPred[a] {
@@ -314,22 +359,22 @@ func (e *engine) process(t dict.Triple3) {
 			e.add(dict.Triple3{z, e.sc, b})
 		}
 		// Rule (13): reflexivity of both endpoints.
-		e.add(dict.Triple3{a, e.sc, a})
-		e.add(dict.Triple3{b, e.sc, b})
+		e.addLoop(e.scOut, e.sc, a)
+		e.addLoop(e.scOut, e.sc, b)
 		// Rule (5) with t as the (A,sc,B) antecedent.
 		for _, x := range e.typeByObj[a] {
 			e.add(dict.Triple3{x, e.typ, b})
 		}
 	case e.dom:
 		// Rule (10) and rule (12).
-		e.add(dict.Triple3{s, e.sp, s})
-		e.add(dict.Triple3{o, e.sc, o})
+		e.addLoop(e.spOut, e.sp, s)
+		e.addLoop(e.scOut, e.sc, o)
 		// Rule (6) with t as the (A,dom,B) antecedent: join (C,sp,A) and
 		// bodies (X,C,Y).
 		e.fireDomRange(s, o, true)
 	case e.rng:
-		e.add(dict.Triple3{s, e.sp, s})
-		e.add(dict.Triple3{o, e.sc, o})
+		e.addLoop(e.spOut, e.sp, s)
+		e.addLoop(e.scOut, e.sc, o)
 		e.fireDomRange(s, o, false)
 	case e.typ:
 		x, a := s, o
@@ -338,7 +383,7 @@ func (e *engine) process(t dict.Triple3) {
 			e.add(dict.Triple3{x, e.typ, b})
 		}
 		// Rule (12).
-		e.add(dict.Triple3{a, e.sc, a})
+		e.addLoop(e.scOut, e.sc, a)
 	}
 }
 

@@ -201,7 +201,7 @@ func TestSemiNaiveEqualsNaiveRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	preds := []term.Term{rdfs.SubClassOf, rdfs.SubPropertyOf, rdfs.Type, rdfs.Domain, rdfs.Range,
 		iri("p"), iri("q"), iri("r")}
-	names := []term.Term{iri("a"), iri("b"), iri("c"), iri("d"), blk("x"), blk("y")}
+	names := []term.Term{iri("a"), iri("b"), iri("c"), iri("d"), blk("x"), blk("y"), term.NewLiteral("l")}
 	for round := 0; round < 60; round++ {
 		g := graph.New()
 		for k := 0; k < 8; k++ {

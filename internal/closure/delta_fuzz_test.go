@@ -11,7 +11,9 @@ import (
 // FuzzDeltaClosure is the differential fuzz target for incremental
 // maintenance: arbitrary bytes decode into a random graph split into a
 // base and an insert batch, and the delta-maintained closure of the
-// saturated base must equal the from-scratch closure of the union.
+// saturated base must equal the from-scratch closure of the union. That
+// closure, schema first whenever the union keeps rdfsV out of subject
+// and object positions, must also equal the generic engine's.
 //
 // Input layout: data[0] picks the base/batch split point, data[1] is
 // unused (it once chose a worker count; the checked-in corpus keeps
@@ -54,6 +56,10 @@ func FuzzDeltaClosure(f *testing.F) {
 		union := graph.Union(baseG, batchG)
 
 		want := RDFSCl(union)
+		if generic := genericCl(t, union); !generic.Equal(want) {
+			t.Fatalf("RDFSCl != generic engine on\n%v\nonly-RDFSCl: %v\nonly-generic: %v",
+				union, want.Minus(generic), generic.Minus(want))
+		}
 		baseCl := RDFSCl(baseG)
 		if got := extend(t, baseCl, batchG); !got.Equal(want) {
 			t.Fatalf("delta closure != from-scratch closure\nbase:\n%v\nbatch:\n%v\nonly-want: %v\nonly-got: %v",

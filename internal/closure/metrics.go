@@ -8,15 +8,17 @@ import "semwebdb/internal/obs"
 // handful of adds per saturation, not per instantiation.
 var (
 	saturationsVec = obs.Default.CounterVec("semweb_closure_saturations_total",
-		"Saturation runs, by mode (full = from scratch, delta = incremental over a closed base).",
+		"Saturation runs, by mode (full = from scratch, schema first; full_generic = from scratch by the generic engine, for graphs that use rdfsV as data; delta = incremental over a closed base).",
 		"mode")
-	satFull  = saturationsVec.With("full")
-	satDelta = saturationsVec.With("delta")
+	satFull        = saturationsVec.With("full")
+	satFullGeneric = saturationsVec.With("full_generic")
+	satDelta       = saturationsVec.With("delta")
 
 	saturationSecondsVec = obs.Default.HistogramVec("semweb_closure_seconds",
 		"Wall-clock saturation latency, by mode.", nil, "mode")
-	satSecondsFull  = saturationSecondsVec.With("full")
-	satSecondsDelta = saturationSecondsVec.With("delta")
+	satSecondsFull        = saturationSecondsVec.With("full")
+	satSecondsFullGeneric = saturationSecondsVec.With("full_generic")
+	satSecondsDelta       = saturationSecondsVec.With("delta")
 
 	ruleFirings = obs.Default.Counter("semweb_closure_rule_firings_total",
 		"Rule-instantiation conclusions emitted by the engine, duplicates included (the semi-naive work measure).")

@@ -361,3 +361,35 @@ func TestRuleStringNames(t *testing.T) {
 		}
 	}
 }
+
+// TestReflEdgeKeepsWellFormedConclusion: rules (11) and (13) on an edge
+// into a literal conclude the subject's loop, though the object's is
+// ill-formed, and Prove finds and verifies a derivation of it.
+func TestReflEdgeKeepsWellFormedConclusion(t *testing.T) {
+	lit := term.NewLiteral("l")
+	for _, tc := range []struct {
+		rule RuleID
+		p    term.Term
+	}{{RuleSubPropReflEdge, SubPropertyOf}, {RuleSubClassReflEdge, SubClassOf}} {
+		g := graph.New(graph.T(iri("urn:r"), tc.p, lit))
+		loop := graph.T(iri("urn:r"), tc.p, iri("urn:r"))
+		ins := Instantiations(g, tc.rule)
+		if len(ins) != 1 || len(ins[0].Conclusions) != 1 || ins[0].Conclusions[0] != loop {
+			t.Fatalf("%v: instantiations %v, want one concluding %v alone", tc.rule, ins, loop)
+		}
+		mustValidate(t, ins[0])
+		none := ins[0]
+		none.Conclusions = nil
+		if none.Validate() == nil {
+			t.Errorf("%v: instantiation with no conclusion accepted", tc.rule)
+		}
+		h := graph.New(loop)
+		proof, ok := Prove(g, h)
+		if !ok {
+			t.Fatalf("%v: no proof of %v from %v", tc.rule, loop, g)
+		}
+		if err := proof.Verify(g, h); err != nil {
+			t.Fatalf("%v: proof does not verify: %v", tc.rule, err)
+		}
+	}
+}

@@ -2,8 +2,10 @@ package rdfs
 
 import (
 	"fmt"
+	"slices"
 
 	"semwebdb/internal/graph"
+	"semwebdb/internal/term"
 )
 
 // RuleID identifies a rule of the deductive system (Section 2.3.2). The
@@ -86,8 +88,10 @@ func DeductiveRules() []RuleID {
 }
 
 // Instantiation is an instantiation R/R' of a rule (2)–(13): a uniform
-// replacement of the rule's variables by elements of UB such that all
-// obtained triples are well-formed RDF triples (Section 2.3.2).
+// replacement of the rule's variables by elements of UB whose
+// antecedents are well-formed RDF triples (Section 2.3.2). Conclusions
+// holds the well-formed members of R'; only rules (11) and (13) have
+// two, and an instantiation may carry one of them alone.
 type Instantiation struct {
 	Rule        RuleID
 	Antecedents []graph.Triple // R: must be present in the current graph
@@ -228,18 +232,25 @@ func (in Instantiation) Validate() error {
 		if c.P != SubPropertyOf || c.S != a.S || c.O != a.S {
 			return bad("conclusion must be (A,sp,A) for the antecedent's subject")
 		}
-	case RuleSubPropReflEdge:
-		if err := need(1, 2); err != nil {
-			return err
+	case RuleSubPropReflEdge, RuleSubClassReflEdge:
+		// The conclusions are the well-formed members of (A,p,A),
+		// (B,p,B): the second is ill-formed when B is a literal.
+		p := SubPropertyOf
+		if in.Rule == RuleSubClassReflEdge {
+			p = SubClassOf
+		}
+		if len(in.Antecedents) != 1 || in.Antecedents[0].P != p {
+			return bad("want one %s antecedent", p)
 		}
 		a := in.Antecedents[0]
-		if a.P != SubPropertyOf {
-			return bad("antecedent must be an sp triple")
+		var want []graph.Triple
+		for _, x := range []term.Term{a.S, a.O} {
+			if c := graph.T(x, p, x); c.WellFormed() {
+				want = append(want, c)
+			}
 		}
-		c0, c1 := in.Conclusions[0], in.Conclusions[1]
-		if c0.P != SubPropertyOf || c0.S != a.S || c0.O != a.S ||
-			c1.P != SubPropertyOf || c1.S != a.O || c1.O != a.O {
-			return bad("conclusions must be (A,sp,A) and (B,sp,B)")
+		if !slices.Equal(in.Conclusions, want) {
+			return bad("conclusions must be the well-formed members of (A,%s,A), (B,%s,B)", p, p)
 		}
 	case RuleSubClassReflObj:
 		if err := need(1, 1); err != nil {
@@ -252,19 +263,6 @@ func (in Instantiation) Validate() error {
 		if c.P != SubClassOf || c.S != a.O || c.O != a.O {
 			return bad("conclusion must be (A,sc,A) for the antecedent's object")
 		}
-	case RuleSubClassReflEdge:
-		if err := need(1, 2); err != nil {
-			return err
-		}
-		a := in.Antecedents[0]
-		if a.P != SubClassOf {
-			return bad("antecedent must be an sc triple")
-		}
-		c0, c1 := in.Conclusions[0], in.Conclusions[1]
-		if c0.P != SubClassOf || c0.S != a.S || c0.O != a.S ||
-			c1.P != SubClassOf || c1.S != a.O || c1.O != a.O {
-			return bad("conclusions must be (A,sc,A) and (B,sc,B)")
-		}
 	default:
 		return fmt.Errorf("rdfs: rule %s has no triple-pattern shape", in.Rule)
 	}
@@ -272,19 +270,24 @@ func (in Instantiation) Validate() error {
 }
 
 // Instantiations enumerates all instantiations of the given rule whose
-// antecedents are triples of g and whose conclusions are well-formed.
-// Ill-formed instantiations (e.g. a blank superproperty flowing into a
-// predicate position under rule (3)) are skipped, implementing the
-// side-condition of Section 2.3.2 directly.
+// antecedents are triples of g, each carrying its well-formed
+// conclusions; one with none is skipped (e.g. a blank superproperty
+// flowing into a predicate position under rule (3)). This implements
+// the side-condition of Section 2.3.2 per conclusion: rule (13) on
+// (A,sc,"l") still concludes (A,sc,A), which holds in every RDFS model
+// because A is then a class and sc is reflexive on classes.
 func Instantiations(g *graph.Graph, rule RuleID) []Instantiation {
 	var out []Instantiation
 	emit := func(ants []graph.Triple, cons ...graph.Triple) {
+		kept := cons[:0] // cons is this call's own slice
 		for _, c := range cons {
-			if !c.WellFormed() {
-				return
+			if c.WellFormed() {
+				kept = append(kept, c)
 			}
 		}
-		out = append(out, Instantiation{Rule: rule, Antecedents: ants, Conclusions: cons})
+		if len(kept) > 0 {
+			out = append(out, Instantiation{Rule: rule, Antecedents: ants, Conclusions: kept})
+		}
 	}
 	switch rule {
 	case RuleSubPropTrans:

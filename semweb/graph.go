@@ -164,9 +164,11 @@ func SameNormalForm(ctx context.Context, g, h *Graph) (bool, error) {
 }
 
 // IsLean reports whether g is lean (Definition 3.7): no map sends g to
-// a proper subgraph of itself.
+// a proper subgraph of itself. The search reads g's own index and
+// interns nothing, so the permutation it sorts stays cached on g for
+// the next call.
 func IsLean(ctx context.Context, g *Graph) (bool, error) {
-	lean, err := core.IsLeanCtx(ctx, scratchView(g))
+	lean, err := core.IsLeanCtx(ctx, g)
 	return lean, wrapEngineError(err)
 }
 
