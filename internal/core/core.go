@@ -16,6 +16,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 
 	"semwebdb/internal/canon"
@@ -42,42 +43,112 @@ func IsLean(g *graph.Graph) bool {
 // IsLeanCtx is IsLean under a context: the underlying map searches poll
 // ctx and abort with its error when it is cancelled.
 func IsLeanCtx(ctx context.Context, g *graph.Graph) (bool, error) {
-	f := hom.NewFinder(match.NewIndex(g))
+	r := newRetraction(ctx, match.NewIndex(g))
 	for _, comp := range g.BlankComponents() {
-		if mu, err := findProperRetraction(ctx, f, g.Dict(), comp, nil); mu != nil || err != nil {
+		if ok, err := r.proper(comp); ok || err != nil {
 			return false, err
 		}
 	}
 	return true, nil
 }
 
-// findProperRetraction returns a map μ : cur → H, where H is G without
-// the triples of the gone blanks, that misses some blank of the
-// component triples cur, or nil if cur is lean in H.
-func findProperRetraction(ctx context.Context, f *hom.Finder, d *dict.Dict, cur []dict.Triple3, gone map[dict.ID]bool) (match.Binding, error) {
-	ps, nodes := decode(d, cur), make([]dict.ID, 0, 2*len(cur))
-	for _, t := range cur {
-		nodes = append(nodes, t[0], t[2])
-	}
-	slices.Sort(nodes)
-	for _, b := range slices.Compact(nodes) {
-		if d.KindOf(b) != term.KindBlank {
-			continue
-		}
-		mu, ok, err := f.FindCtx(ctx, ps, func(_, v dict.ID) bool { return v != b && !gone[v] })
-		if ok || err != nil {
-			return mu, err
-		}
-	}
-	return nil, nil
+// Gone returns the blanks core(G) drops, for G the graph of ix. By the
+// package lemma core(G) is G without the triples that mention one, so
+// ix.Hiding(Gone(ix)) matches exactly against core(G). The searches run
+// on ix itself and poll ctx; nothing is copied.
+func Gone(ctx context.Context, ix *match.Index) (map[dict.ID]bool, error) {
+	r := newRetraction(ctx, ix)
+	_, err := r.run(ix.Graph().BlankComponents())
+	return r.gone, err
 }
 
-func decode(d *dict.Dict, ts []dict.Triple3) []graph.Triple {
-	out := make([]graph.Triple, len(ts))
-	for i, t := range ts {
-		out[i] = graph.T(d.TermOf(t[0]), d.TermOf(t[1]), d.TermOf(t[2]))
+// retraction runs the package lemma's map searches with one solver over
+// H, the index's graph without the triples of the gone blanks: the
+// patterns are a component's own encoded triples and its blanks the
+// unknowns, so nothing is decoded or interned.
+type retraction struct {
+	gone    map[dict.ID]bool // blanks retracted so far
+	h       *match.Index     // the index hiding gone
+	s       *match.Solver    // searches over h
+	unknown map[dict.ID]bool // the blanks of the component searched
+	blanks  []dict.ID        // the same, sorted
+	avoid   dict.ID          // the value no blank may take; Wildcard for none
+	mu      match.Binding    // the last map found
+}
+
+func newRetraction(ctx context.Context, ix *match.Index) *retraction {
+	r := &retraction{gone: make(map[dict.ID]bool), unknown: make(map[dict.ID]bool), mu: make(match.Binding)}
+	r.h = ix.Hiding(r.gone)
+	r.s = match.NewSolver(r.h, match.Options{Ctx: ctx, Admissible: func(_, v dict.ID) bool { return v != r.avoid }})
+	return r
+}
+
+// setUnknown makes the blanks of comp the unknowns of the next searches.
+func (r *retraction) setUnknown(comp []dict.Triple3) {
+	clear(r.unknown)
+	for _, t := range comp {
+		for _, x := range [2]dict.ID{t[0], t[2]} {
+			if r.h.Dict().KindOf(x) == term.KindBlank {
+				r.unknown[x] = true
+			}
+		}
 	}
-	return out
+}
+
+// find searches a map μ : comp → H that sends no blank to avoid and
+// keeps it in r.mu. The caller has set comp's blanks as the unknowns.
+func (r *retraction) find(comp []dict.Triple3, avoid dict.ID) (bool, error) {
+	r.avoid = avoid
+	clear(r.mu)
+	r.s.SolveIDs(comp, r.unknown, func(b match.Binding) bool {
+		maps.Copy(r.mu, b)
+		return false
+	})
+	return len(r.mu) > 0, r.s.Err()
+}
+
+// proper reports whether some map cur → H misses a blank of the
+// component triples cur, leaving it in r.mu. The blanks are tried in ID
+// order, so the retract found is deterministic.
+func (r *retraction) proper(cur []dict.Triple3) (bool, error) {
+	r.setUnknown(cur)
+	r.blanks = slices.AppendSeq(r.blanks[:0], maps.Keys(r.unknown))
+	slices.Sort(r.blanks)
+	for _, b := range r.blanks {
+		if ok, err := r.find(cur, b); ok || err != nil {
+			return ok, err
+		}
+	}
+	return false, nil
+}
+
+// run retracts one blank component at a time: while proper finds a map
+// C → H missing a blank of C, the blanks of C outside its image go and
+// C shrinks to the image. It returns the components that lost a blank.
+func (r *retraction) run(comps [][]dict.Triple3) ([][]dict.Triple3, error) {
+	goneIn := func(t dict.Triple3) bool { return r.gone[t[0]] || r.gone[t[2]] }
+	var retracted [][]dict.Triple3
+	for _, comp := range comps {
+		cur := comp
+		ok, err := r.proper(cur)
+		for ; ok; ok, err = r.proper(cur) {
+			// The blanks of C outside the image go, with their triples.
+			for x := range r.mu {
+				r.gone[x] = true
+			}
+			for _, v := range r.mu {
+				delete(r.gone, v)
+			}
+			cur = slices.DeleteFunc(slices.Clone(cur), goneIn)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(cur) < len(comp) {
+			retracted = append(retracted, comp)
+		}
+	}
+	return retracted, nil
 }
 
 // Core returns core(G): the unique (up to isomorphism) lean subgraph of G
@@ -96,53 +167,27 @@ func Core(g *graph.Graph) (*graph.Graph, graph.Map) {
 
 // CoreCtx is Core under a context: each map search polls ctx and the
 // computation aborts with its error when it is cancelled. The searches
-// run on G's own index and avoid the gone blanks, so only the returned
-// graph is a copy. μ is one map per retracted component into the final
-// H; together they send G onto H, which is lean (composing the
+// run on G's own index and avoid the gone blanks (Gone), so only the
+// returned graph is a copy. μ is one map per retracted component into
+// the final H; together they send G onto H, which is lean (composing the
 // retractions instead would cost O(|moved blanks|) per retraction).
 func CoreCtx(ctx context.Context, g *graph.Graph) (*graph.Graph, graph.Map, error) {
-	d := g.Dict()
-	f := hom.NewFinder(match.NewIndex(g))
-	gone := make(map[dict.ID]bool)
-	goneIn := func(t dict.Triple3) bool { return gone[t[0]] || gone[t[2]] }
-	var retracted [][]dict.Triple3
-	for _, comp := range g.BlankComponents() {
-		cur := comp
-		mu, err := findProperRetraction(ctx, f, d, cur, gone)
-		for ; mu != nil; mu, err = findProperRetraction(ctx, f, d, cur, gone) {
-			// The blanks of C outside the image go, with their triples.
-			for x := range mu {
-				gone[x] = true
-			}
-			for _, v := range mu {
-				delete(gone, v)
-			}
-			cur = slices.DeleteFunc(slices.Clone(cur), goneIn)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(cur) < len(comp) {
-			retracted = append(retracted, comp)
-		}
+	r := newRetraction(ctx, match.NewIndex(g))
+	retracted, err := r.run(g.BlankComponents())
+	if err != nil {
+		return nil, nil, err
 	}
-	c, total := g.Clone(), make(graph.Map)
+	d, total := g.Dict(), make(graph.Map)
 	for _, comp := range retracted {
-		ps := decode(d, comp)
-		mu, _, err := f.FindCtx(ctx, ps, func(_, v dict.ID) bool { return !gone[v] })
-		if err != nil {
+		r.setUnknown(comp)
+		if _, err := r.find(comp, dict.Wildcard); err != nil {
 			return nil, nil, err
 		}
-		for x, v := range mu {
+		for x, v := range r.mu {
 			total[d.TermOf(x)] = d.TermOf(v)
 		}
-		for i, t := range comp {
-			if goneIn(t) {
-				c.Remove(ps[i])
-			}
-		}
 	}
-	return c, total, nil
+	return r.h.Clone(d), total, nil
 }
 
 // CoreGraph is Core without the witness map.

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
+	"semwebdb/internal/dict"
 	"semwebdb/internal/gen"
 	"semwebdb/internal/graph"
 	"semwebdb/internal/hom"
+	"semwebdb/internal/match"
 	"semwebdb/internal/term"
 )
 
@@ -68,6 +73,53 @@ func checkAgainstOracle(t testing.TB, name string, g *graph.Graph) {
 	case !hom.Isomorphic(c, oracleCore(g)):
 		t.Fatalf("%s: core not isomorphic to the oracle's\n%v\nvs\n%v", name, c, oracleCore(g))
 	}
+	checkViewAgainstCopy(t, name, g, c)
+}
+
+// checkViewAgainstCopy checks that G's index hiding Gone(G) matches
+// exactly like an index over core(G)'s copy c: for every key of the 8
+// bound/unbound shapes drawn from a triple of G, a one-pattern search
+// with the unbound positions as unknowns finds the same triples on both.
+func checkViewAgainstCopy(t testing.TB, name string, g, c *graph.Graph) {
+	t.Helper()
+	ix := match.NewIndex(g)
+	gone, err := Gone(context.Background(), ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, copied := ix.Hiding(gone), match.NewIndex(c)
+	unknowns := dict.Triple3{math.MaxUint32, math.MaxUint32 - 1, math.MaxUint32 - 2} // IDs no term has
+	isUnknown := map[dict.ID]bool{unknowns[0]: true, unknowns[1]: true, unknowns[2]: true}
+	scan := func(ix *match.Index, key dict.Triple3) []dict.Triple3 {
+		var out []dict.Triple3
+		match.NewSolver(ix, match.Options{}).SolveIDs([]dict.Triple3{key}, isUnknown, func(b match.Binding) bool {
+			var t dict.Triple3
+			for i, id := range key {
+				if v, ok := b[id]; ok {
+					t[i] = v
+				} else {
+					t[i] = id
+				}
+			}
+			out = append(out, t)
+			return true
+		})
+		return out
+	}
+	g.EachID(func(tr dict.Triple3) bool {
+		for shape := 0; shape < 8; shape++ {
+			key := unknowns
+			for i := range key {
+				if shape&(1<<i) != 0 {
+					key[i] = tr[i]
+				}
+			}
+			if got, want := scan(view, key), scan(copied, key); !slices.Equal(got, want) {
+				t.Fatalf("%s: key %v: view hiding %v finds %v, the core's copy %v", name, key, gone, got, want)
+			}
+		}
+		return true
+	})
 }
 
 func TestLeanAgreesWithOracleOnGenerators(t *testing.T) {
@@ -126,7 +178,8 @@ func TestLeanAgreesWithOracleOnShapes(t *testing.T) {
 
 // FuzzLeanAgrees decodes bytes into a small graph over a fixed term set
 // with at most four blanks and checks IsLean and Core against the
-// per-triple oracle.
+// per-triple oracle, and G's index hiding Gone(G) against an index over
+// the core's copy.
 func FuzzLeanAgrees(f *testing.F) {
 	f.Add([]byte("\x00\x00\x04\x04\x00\x05"))
 	f.Add([]byte("\x04\x00\x05\x05\x00\x04\x06\x00\x07\x07\x00\x06"))

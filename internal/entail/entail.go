@@ -36,7 +36,7 @@ func EntailsCtx(ctx context.Context, g1, g2 *graph.Graph) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	_, ok, err := hom.NewFinder(match.NewIndex(cl)).FindCtx(ctx, g2.Triples(), nil)
+	_, ok, err := hom.NewFinder(match.NewIndex(cl)).FindCtx(ctx, g2.Triples())
 	return ok, err
 }
 

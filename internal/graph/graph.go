@@ -262,9 +262,11 @@ func (g *Graph) MustAdd(t Triple) {
 // Remove deletes a triple, reporting whether it was present.
 func (g *Graph) Remove(t Triple) bool {
 	enc, ok := g.lookupTriple(t)
-	if !ok {
-		return false
-	}
+	return ok && g.RemoveID(enc)
+}
+
+// RemoveID deletes an encoded triple; it reports whether it was present.
+func (g *Graph) RemoveID(enc dict.Triple3) bool {
 	if !g.hasEnc(enc) {
 		return false
 	}

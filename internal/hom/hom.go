@@ -45,7 +45,7 @@ func (f *Finder) solver(opts match.Options) *match.Solver {
 
 // Find returns a map μ with μ(src) ⊆ dst, if one exists.
 func (f *Finder) Find(src *graph.Graph) (graph.Map, bool) {
-	b, ok, _ := f.FindCtx(context.Background(), src.Triples(), nil)
+	b, ok, _ := f.FindCtx(context.Background(), src.Triples())
 	if !ok {
 		return nil, false
 	}
@@ -54,11 +54,10 @@ func (f *Finder) Find(src *graph.Graph) (graph.Map, bool) {
 
 // FindCtx returns a map μ with μ(ps) ⊆ dst, if one exists, as a binding
 // of the blanks of ps over IDs of dst's dictionary (or of the Finder's
-// overlay, for terms dst lacks); admissible, when non-nil, filters the
-// values a blank may take. The search polls ctx and aborts with its
-// error when it is cancelled.
-func (f *Finder) FindCtx(ctx context.Context, ps []graph.Triple, admissible func(blank, value dict.ID) bool) (match.Binding, bool, error) {
-	solver := f.solver(match.Options{Ctx: ctx, Admissible: admissible})
+// overlay, for terms dst lacks). The search polls ctx and aborts with
+// its error when it is cancelled.
+func (f *Finder) FindCtx(ctx context.Context, ps []graph.Triple) (match.Binding, bool, error) {
+	solver := f.solver(match.Options{Ctx: ctx})
 	b, ok, _ := solver.First(ps)
 	if err := solver.Err(); err != nil {
 		return nil, false, err

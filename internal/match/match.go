@@ -114,10 +114,13 @@ const (
 // Index is the matcher's view of a data graph. The heavy lookup
 // structures — the sorted ID permutations — live on the graph itself and
 // are built lazily and cached there, so constructing an Index is cheap
-// and repeated Solve calls share the same scans.
+// and repeated Solve calls share the same scans. A view made by Hiding
+// shares its parent's graph and permutations and leaves out the triples
+// of a set of hidden nodes.
 type Index struct {
-	g    *graph.Graph
-	mode IndexMode
+	g      *graph.Graph
+	mode   IndexMode
+	hidden map[dict.ID]bool // nodes whose triples the view leaves out; nil hides none
 }
 
 // NewIndex builds a full-index view over g.
@@ -128,7 +131,17 @@ func NewIndexMode(g *graph.Graph, mode IndexMode) *Index {
 	return &Index{g: g, mode: mode}
 }
 
-// Graph returns the indexed data graph.
+// Hiding returns a view of ix's graph without the triples whose subject
+// or object is in hidden. It copies nothing: the view reads hidden on
+// every scan, so members the caller adds later are hidden from then on.
+// Matching against it is exact for every pattern; only the counts that
+// order a search (Solver) stay upper bounds.
+func (ix *Index) Hiding(hidden map[dict.ID]bool) *Index {
+	return &Index{g: ix.g, mode: ix.mode, hidden: hidden}
+}
+
+// Graph returns the indexed data graph. On a Hiding view that is the
+// parent's whole graph, hidden triples included.
 func (ix *Index) Graph() *graph.Graph { return ix.g }
 
 // ExtendedByIDs returns an Index over ix's graph extended by the given
@@ -144,8 +157,24 @@ func (ix *Index) ExtendedByIDs(added []dict.Triple3) *Index {
 // Dict returns the dictionary bindings resolve through.
 func (ix *Index) Dict() *dict.Dict { return ix.g.Dict() }
 
-// Terms returns the universe of the indexed graph in canonical order.
-func (ix *Index) Terms() []term.Term { return ix.g.UniverseList() }
+// hides reports whether the view leaves t out.
+func (ix *Index) hides(t dict.Triple3) bool { return ix.hidden[t[0]] || ix.hidden[t[2]] }
+
+// Clone copies the view's triples into an independent graph on the
+// dictionary d, which must resolve the graph's IDs identically (a
+// scratch overlay of Dict(), say).
+func (ix *Index) Clone(d *dict.Dict) *graph.Graph {
+	c := ix.g.WithDict(d).Clone()
+	if len(ix.hidden) > 0 {
+		ix.g.EachID(func(t dict.Triple3) bool {
+			if ix.hides(t) {
+				c.RemoveID(t)
+			}
+			return true
+		})
+	}
+	return c
+}
 
 // scanKey narrows a pattern key according to the index mode: modes that
 // ignore a position turn it into a wildcard (the search loop re-checks
@@ -161,20 +190,26 @@ func (ix *Index) scanKey(key dict.Triple3) dict.Triple3 {
 	}
 }
 
-// candidates streams the data triples compatible with the pattern key
+// candidates streams the view's triples compatible with the pattern key
 // under the index mode.
 func (ix *Index) candidates(key dict.Triple3, fn func(dict.Triple3) bool) {
 	k := ix.scanKey(key)
-	ix.g.MatchID(k[0], k[1], k[2], fn)
+	if ix.hidden == nil {
+		ix.g.MatchID(k[0], k[1], k[2], fn)
+		return
+	}
+	ix.g.MatchID(k[0], k[1], k[2], func(t dict.Triple3) bool { return ix.hides(t) || fn(t) })
 }
 
-// count returns the number of candidate triples for the pattern key.
+// count bounds the number of candidate triples for the pattern key from
+// above: hidden triples are counted.
 func (ix *Index) count(key dict.Triple3) int {
 	k := ix.scanKey(key)
 	return ix.g.CountID(k[0], k[1], k[2])
 }
 
-// Solver runs pattern matching against a fixed Index.
+// Solver runs pattern matching against a fixed Index. One solver serves
+// any number of sequential Solve calls, reusing its buffers.
 type Solver struct {
 	ix    *Index
 	opts  Options
@@ -186,6 +221,8 @@ type Solver struct {
 
 	unknown map[dict.ID]bool // pattern terms that are unknowns (per Solve)
 	used    map[dict.ID]int  // value -> refcount, for Injective
+	open    []dict.Triple3   // the patterns left to search (per Solve)
+	b       Binding          // the binding under construction (per Solve)
 }
 
 // ctxPollMask controls how often the context is polled: every
@@ -234,12 +271,12 @@ func (s *Solver) interrupted() bool {
 }
 
 // encode interns the patterns into the solver's dictionary (Options.Dict
-// if set, otherwise the data dictionary) and records which pattern IDs
-// are unknowns. Ground pattern terms absent from the data receive fresh
-// IDs that match no triple, which is the correct failure. Terms new to
-// the dictionary are interned in one batch first, so the per-position
-// interning below only looks IDs up.
-func (s *Solver) encode(patterns []graph.Triple) []dict.Triple3 {
+// if set, otherwise the data dictionary) and returns them with the set
+// of pattern IDs that are unknowns. Ground pattern terms absent from the
+// data receive fresh IDs that match no triple, which is the correct
+// failure. Terms new to the dictionary are interned in one batch first,
+// so the per-position interning below only looks IDs up.
+func (s *Solver) encode(patterns []graph.Triple) ([]dict.Triple3, map[dict.ID]bool) {
 	d := s.opts.Dict
 	if d == nil {
 		d = s.ix.Dict()
@@ -256,18 +293,18 @@ func (s *Solver) encode(patterns []graph.Triple) []dict.Triple3 {
 		}
 	}
 	d.InternAll(fresh)
-	s.unknown = make(map[dict.ID]bool)
+	unknown := make(map[dict.ID]bool)
 	out := make([]dict.Triple3, len(patterns))
 	for i, p := range patterns {
 		for j, x := range p.Terms() {
 			id := d.Intern(x)
 			out[i][j] = id
-			if _, seen := s.unknown[id]; !seen {
-				s.unknown[id] = s.opts.IsUnknown(x)
+			if _, seen := unknown[id]; !seen {
+				unknown[id] = s.opts.IsUnknown(x)
 			}
 		}
 	}
-	return out
+	return out, unknown
 }
 
 // resolveKey substitutes bound unknowns into the pattern, leaving
@@ -289,32 +326,42 @@ func (s *Solver) resolveKey(p dict.Triple3, b Binding) dict.Triple3 {
 // Solve enumerates bindings that satisfy all patterns, invoking yield for
 // each. If yield returns false the search stops (reported as complete).
 // The returned flag is false only if the MaxSteps budget was exhausted
-// before the search space was covered.
+// before the search space was covered. The binding handed to yield is
+// the solver's own and changes after yield returns: Clone it to keep it.
 func (s *Solver) Solve(patterns []graph.Triple, yield func(Binding) bool) (complete bool) {
-	s.steps = 0
-	s.err = nil
+	open, unknown := s.encode(patterns)
+	s.open = open[:0] // the encoded patterns are the solver's own: filter them in place
+	return s.SolveIDs(open, unknown, yield)
+}
+
+// SolveIDs is Solve over patterns already encoded against the index's
+// dictionary (or Options.Dict), with unknown holding the pattern IDs to
+// bind. It modifies neither argument, so a caller can keep both, and the
+// solver, across searches.
+func (s *Solver) SolveIDs(patterns []dict.Triple3, unknown map[dict.ID]bool, yield func(Binding) bool) (complete bool) {
+	s.steps, s.err, s.unknown = 0, nil, unknown
 	// A pattern without an unknown binds nothing: check it once by
 	// membership, and search only the rest. Left in the search, every
 	// level would recount it, which is quadratic when most of the
 	// patterns are ground (a graph mapped into itself minus one triple).
-	open := s.encode(patterns)
-	n := 0
-	for _, p := range open {
-		if s.unknown[p[0]] || s.unknown[p[1]] || s.unknown[p[2]] {
-			open[n] = p
-			n++
+	s.open = s.open[:0]
+	for _, p := range patterns {
+		if unknown[p[0]] || unknown[p[1]] || unknown[p[2]] {
+			s.open = append(s.open, p)
 			continue
 		}
 		if s.interrupted() {
 			return false
 		}
-		if !s.ix.g.HasID(p) {
+		if !s.ix.g.HasID(p) || s.ix.hides(p) {
 			return true
 		}
 	}
-	b := make(Binding)
+	if s.b == nil {
+		s.b = make(Binding) // every search path unbinds what it bound
+	}
 	stopped := false
-	ok := s.solve(open[:n], b, func(bind Binding) bool {
+	ok := s.solve(s.open, s.b, func(bind Binding) bool {
 		if !yield(bind) {
 			stopped = true
 			return false
@@ -341,6 +388,8 @@ func (s *Solver) First(patterns []graph.Triple) (Binding, bool, bool) {
 	return found, found != nil, complete
 }
 
+// solve searches the patterns of remaining, which it permutes while it
+// runs and restores before it returns.
 func (s *Solver) solve(remaining []dict.Triple3, b Binding, yield func(Binding) bool) bool {
 	if len(remaining) == 0 {
 		return yield(b)
@@ -363,10 +412,12 @@ func (s *Solver) solve(remaining []dict.Triple3, b Binding, yield func(Binding) 
 			}
 		}
 	}
+	// Rotate the pick to the front: the rest keeps its order, and the
+	// search below it needs no slice of its own.
 	p := remaining[pick]
-	rest := make([]dict.Triple3, 0, len(remaining)-1)
-	rest = append(rest, remaining[:pick]...)
-	rest = append(rest, remaining[pick+1:]...)
+	copy(remaining[1:pick+1], remaining[:pick])
+	remaining[0] = p
+	rest := remaining[1:]
 
 	ok := true
 	s.ix.candidates(s.resolveKey(p, b), func(cand dict.Triple3) bool {
@@ -393,6 +444,8 @@ func (s *Solver) solve(remaining []dict.Triple3, b Binding, yield func(Binding) 
 		s.retract(newly, b)
 		return true
 	})
+	copy(remaining[:pick], remaining[1:pick+1])
+	remaining[pick] = p
 	return ok
 }
 

@@ -261,7 +261,7 @@ func TestIndexAccessors(t *testing.T) {
 	if ix.Graph() != g {
 		t.Fatal("Graph accessor")
 	}
-	if len(ix.Terms()) != 3 {
-		t.Fatalf("Terms = %v", ix.Terms())
+	if ix.Hiding(map[dict.ID]bool{1: true}).Graph() != g {
+		t.Fatal("a Hiding view does not share its parent's graph")
 	}
 }

@@ -236,9 +236,11 @@ func Evaluate(q *Query, d *graph.Graph, opts Options) (*Answer, error) {
 // Universe builds the matching universe of q over the database d and
 // returns the match index over it: nf(D + P) per Note 4.4, where + is
 // merge and P is the premise of q — or cl(D + P) when skipNF is set.
-// Evaluating or streaming q against the index completes Definition 4.3.
-// The closure saturation and the normal-form retraction searches poll
-// ctx and abort with its error when it is cancelled.
+// nf(D + P) is the index over cl(D + P) hiding the blanks its core
+// drops (core.Gone), not a copy. Evaluating or streaming q against the
+// index completes Definition 4.3. The closure saturation and the
+// normal-form retraction searches poll ctx and abort with its error
+// when it is cancelled.
 //
 // Universe never mutates the dictionaries of d or of the premise: the
 // merged universe, its saturation (skolem constants, RDFS vocabulary)
@@ -256,11 +258,19 @@ func Universe(ctx context.Context, q *Query, d *graph.Graph, skipNF bool) (*matc
 		p := q.Premise.WithDict(q.Premise.Dict().Scratch())
 		data = graph.Merge(data, p)
 	}
-	data, err := Prepare(ctx, data, skipNF)
+	cl, err := closure.RDFSClCtx(ctx, data)
 	if err != nil {
 		return nil, err
 	}
-	return match.NewIndex(data), nil
+	ix := match.NewIndex(cl)
+	if skipNF {
+		return ix, nil
+	}
+	gone, err := core.Gone(ctx, ix)
+	if err != nil {
+		return nil, err
+	}
+	return ix.Hiding(gone), nil
 }
 
 // Prepare computes the matching universe for premise-free queries over

@@ -74,27 +74,28 @@ type DB struct {
 	closed   bool            // guarded by mu
 
 	// cl and nf cache the premise-free matching universes cl(D) and
-	// nf(D) of one snapshot together with the match.Index view over
-	// each. Retaining the prepared graph is what keeps the matcher's
-	// lookup structures alive — the sorted SPO/POS/OSP permutations are
-	// built lazily on the graph itself and cached there — so repeated
-	// reads neither redo the closure saturation and the coNP-hard core
-	// retraction nor re-sort the scan indexes.
+	// nf(D) of one snapshot. There is one prepared graph, cl(D): it
+	// keeps the matcher's lookup structures alive — the sorted
+	// SPO/POS/OSP permutations are built lazily on the graph itself and
+	// cached there — so repeated reads neither redo the closure
+	// saturation nor re-sort the scan indexes.
 	//
 	// cl(D) is saturated once. A mutation queues its batch in pending,
 	// and the next read folds it in by semi-naive delta saturation
 	// (closure.Maintainer) — blank nodes are constants to the rules
 	// (Lemma 3.4) — publishing a fresh extended graph/index pair;
 	// readers streaming from the old state are never disturbed. nf(D)
-	// is never saturated: a ground graph is its own core, so on a
-	// ground state nf == cl; otherwise nf is cl's core, computed on the
-	// first nf read and discarded when cl moves on. Compact and a
+	// is never saturated or copied: a ground graph is its own core, so
+	// on a ground state nf == cl; otherwise nf(D) is cl(D) without the
+	// triples of the blanks core(cl(D)) drops (the core package lemma),
+	// so the nf state is cl's index hiding that gone set, computed on
+	// the first nf read and discarded when cl moves on. Compact and a
 	// maintenance error drop both (counted per reason in Stats).
 	//
 	// Invariants (under mu): cl.base ∪ pending == g; pending, empty
 	// while cl is nil, holds triples absent from cl.base in commit
 	// order, pairwise distinct, encoded against dict; nf is nil, cl, or
-	// the core of non-ground cl.
+	// a view of cl's graph hiding the blanks its core drops.
 	cl, nf  *preparedState // guarded by mu (a state's maintainer by prepSlot)
 	pending []dict.Triple3 // guarded by mu
 
@@ -111,17 +112,20 @@ type DB struct {
 	cfg config
 }
 
-// preparedState is one cached matching universe of the snapshot base,
-// plus the (cheap, reusable) match index view over it and, once delta
+// preparedState is one cached matching universe of the snapshot base:
+// the match index whose triples are the universe and, once delta
 // maintenance has run, the closure maintainer that extends it. m is
-// lazily built and only touched holding prepSlot; readers use base, data
-// and ix exclusively. ground: data has no blank node, so is its own core.
+// lazily built and only touched holding prepSlot; readers use base, ix
+// and the fingerprint exclusively. ground: the universe has no blank
+// node, so is its own core.
 type preparedState struct {
 	base   *graph.Graph
-	data   *graph.Graph
 	ix     *match.Index
 	m      *closure.Maintainer
 	ground bool
+
+	fpOnce sync.Once
+	fp     string // canonical serialization of the universe, set by fpOnce
 }
 
 // prepCounters are the monotonic prepared-cache maintenance counters
@@ -536,9 +540,9 @@ func extendPrepared(ctx context.Context, st *preparedState, g *graph.Graph, from
 		// the prepared cl(D), which is RDFS-closed. It rides along in
 		// every extended state, so later batches skip this O(|cl|)
 		// pass.
-		st.m = closure.NewMaintainer(st.data)
+		st.m = closure.NewMaintainer(st.ix.Graph())
 	}
-	to, ground := st.data.Dict(), st.ground
+	to, ground := st.ix.Dict(), st.ground
 	ids := make([]dict.Triple3, len(batch))
 	for i, t := range batch {
 		for j, id := range t {
@@ -550,8 +554,7 @@ func extendPrepared(ctx context.Context, st *preparedState, g *graph.Graph, from
 	if err != nil {
 		return nil, err
 	}
-	nix := st.ix.ExtendedByIDs(added)
-	return &preparedState{base: g, data: nix.Graph(), ix: nix, m: st.m, ground: ground}, nil
+	return &preparedState{base: g, ix: st.ix.ExtendedByIDs(added), m: st.m, ground: ground}, nil
 }
 
 // fullPrepare saturates the current snapshot from scratch into cl(D)
@@ -565,7 +568,7 @@ func (db *DB) fullPrepare(ctx context.Context) (*preparedState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &preparedState{base: g, data: data, ix: match.NewIndex(data), ground: ground}
+	st := &preparedState{base: g, ix: match.NewIndex(data), ground: ground}
 	db.prepStats.full.Add(1)
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -578,14 +581,15 @@ func (db *DB) fullPrepare(ctx context.Context) (*preparedState, error) {
 }
 
 // normalize derives nf(D) = core(cl(D)) (Definition 3.18) from the
-// non-ground cl(D) st, cached beside st while st is cached. Caller
-// holds prepSlot.
+// non-ground cl(D) st, cached beside st while st is cached: st's index
+// hiding the blanks the core drops, with no graph or index of its own.
+// Caller holds prepSlot.
 func (db *DB) normalize(ctx context.Context, st *preparedState) (*preparedState, error) {
-	data, _, err := core.CoreCtx(ctx, st.data)
+	gone, err := core.Gone(ctx, st.ix)
 	if err != nil {
 		return nil, err
 	}
-	nst := &preparedState{base: st.base, data: data, ix: match.NewIndex(data)}
+	nst := &preparedState{base: st.base, ix: st.ix.Hiding(gone)}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.cl == st {
@@ -999,7 +1003,7 @@ func (db *DB) Has(t Triple) bool { return db.snapshot().Has(t) }
 // interning nothing. Ill-formed triples and unknown terms give false.
 func (db *DB) Infers(t Triple) bool {
 	st, _, err := db.universe(context.TODO(), false)
-	return err == nil && st.data.Has(t)
+	return err == nil && st.ix.Graph().Has(t)
 }
 
 // Eval evaluates q against the database (Definition 4.3): the body is
@@ -1095,7 +1099,7 @@ func (db *DB) Entails(ctx context.Context, h *Graph) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	_, ok, err := hom.NewFinder(st.ix).FindCtx(ctx, h.Triples(), nil)
+	_, ok, err := hom.NewFinder(st.ix).FindCtx(ctx, h.Triples())
 	return ok, wrapEngineError(err)
 }
 
@@ -1117,7 +1121,7 @@ func (db *DB) Equivalent(ctx context.Context, h *Graph) (bool, error) {
 // equivalentIn decides D ≡ h for the snapshot D the prepared cl(D) st
 // covers, so both halves read one snapshot.
 func equivalentIn(ctx context.Context, st *preparedState, h *Graph) (bool, error) {
-	if _, ok, err := hom.NewFinder(st.ix).FindCtx(ctx, h.Triples(), nil); !ok || err != nil {
+	if _, ok, err := hom.NewFinder(st.ix).FindCtx(ctx, h.Triples()); !ok || err != nil {
 		return false, wrapEngineError(err)
 	}
 	return Entails(ctx, h, st.base)
@@ -1136,7 +1140,8 @@ func (db *DB) Core(ctx context.Context) (*Graph, error) {
 }
 
 // NormalForm returns nf(D) = core(cl(D)), copied from the prepared
-// universe like Closure.
+// universe like Closure: one copy of cl(D) without the triples nf(D)
+// hides.
 func (db *DB) NormalForm(ctx context.Context) (*Graph, error) {
 	return db.universeCopy(ctx, true)
 }
@@ -1147,8 +1152,12 @@ func (db *DB) universeCopy(ctx context.Context, nf bool) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return scratchView(st.data).Clone(), nil
+	return st.copy(), nil
 }
+
+// copy returns the universe as an independent graph on a fresh scratch
+// overlay: writes to it reach neither the database nor the cache.
+func (st *preparedState) copy() *graph.Graph { return st.ix.Clone(st.ix.Dict().Scratch()) }
 
 // MinimalRepresentation returns the unique minimal representation of D
 // (Theorem 3.16); see the package-level function for the error
@@ -1163,13 +1172,14 @@ func (db *DB) MinimalRepresentation() (*Graph, error) {
 func (db *DB) Canonical() *Graph { return Canonicalize(db.snapshot()) }
 
 // Fingerprint returns the equivalence certificate of D: the canonical
-// serialization of the prepared nf(D).
+// serialization of the prepared nf(D), computed once per prepared state.
 func (db *DB) Fingerprint(ctx context.Context) (string, error) {
 	st, _, err := db.universe(ctx, true)
 	if err != nil {
 		return "", err
 	}
-	return canon.String(scratchView(st.data)), nil
+	st.fpOnce.Do(func() { st.fp = canon.String(st.copy()) })
+	return st.fp, nil
 }
 
 // IsLean reports whether D is lean.

@@ -125,11 +125,12 @@ func TestDeltaPreparedMatchesFromScratch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !st.data.Equal(want) {
+				got := st.copy()
+				if !got.Equal(want) {
 					t.Fatalf("round %d skipNF=%v: delta-maintained universe (%d) != from-scratch (%d)",
-						round, skipNF, st.data.Len(), want.Len())
+						round, skipNF, got.Len(), want.Len())
 				}
-				fpGot, err := core.FingerprintCtx(ctx, st.data)
+				fpGot, err := core.FingerprintCtx(ctx, got)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -413,8 +414,9 @@ func TestDeltaFoldsThroughBlankNodes(t *testing.T) {
 // TestDeltaConcurrentAddEvalStream hammers one database with
 // concurrent inserts — ground batches and, every fifth one, a batch
 // with blank nodes — premise-free Evals and Streams and paper
-// operations (Infers, Entails, Closure, Equivalent, Fingerprint), so the
-// non-ground delta fold and the nf(D) re-core race the readers. It is
+// operations (Infers, Entails, Closure, Equivalent, Fingerprint,
+// NormalForm), so the non-ground delta fold, the nf(D) re-core and the
+// cached fingerprint race the readers. It is
 // meant to run under the race detector (`make test-race`, `make
 // test-stress`). Every operation must succeed, every read after the
 // warm-up must be served by the cache, a delta pass or a core of the
@@ -486,6 +488,16 @@ func TestDeltaConcurrentAddEvalStream(t *testing.T) {
 					return
 				}
 				rows.Close()
+				// Two readers race the paper goroutine for the
+				// once-per-state fingerprint and copy the nf view.
+				if _, err := db.Fingerprint(ctx); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := db.NormalForm(ctx); err != nil {
+					errs <- err
+					return
+				}
 			}
 		}()
 	}
@@ -534,7 +546,7 @@ func TestDeltaConcurrentAddEvalStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.data.Equal(want) && (skipNF || !Isomorphic(st.data, want)) {
+		if got := st.copy(); !got.Equal(want) && (skipNF || !Isomorphic(got, want)) {
 			t.Fatalf("skipNF=%v: concurrent maintenance diverged from from-scratch preparation", skipNF)
 		}
 	}
